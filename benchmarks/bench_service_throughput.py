@@ -8,7 +8,7 @@ Two sweeps are recorded:
 
 1. **Client scaling (thread backend).**  For each client thread count
    (1, 4, 8) a fresh in-process
-   :class:`~repro.service.server.MatchServiceServer` (pool of 8 warm
+   :class:`~repro.service.aserver.MatchServiceServer` (pool of 8 warm
    sessions) serves the same ``/match`` request mix -- two schema pairs (the
    Figure 1 PO1/PO2 pair and a generated ~50-path pair) under three
    cacheable strategies:
@@ -26,16 +26,6 @@ Two sweeps are recorded:
    parallelism and lands *below* thread -- the recorded ratio documents
    that honestly.  With >= 2 cores the process backend escapes the GIL and
    the warm ratio is gated at >= 1.5x in :func:`test_service_throughput`.
-
-3. **Front-end sweep (sync vs async).**  The same mix at 1 / 8 / 64
-   concurrent clients against the threading front-end
-   (``frontend=sync``: one OS thread per connection) and the asyncio
-   front-end (``frontend=async``: one event loop, dispatch onto a small
-   executor).  The headline ratio is async warm throughput at 64 clients
-   over sync warm throughput at 8 threads -- the region where per-connection
-   threads start convoying.  Gated at >= 1.5x only when ``cpu_count >= 2``;
-   on a 1-core runner both front-ends sit on the same GIL ceiling and the
-   measured ratio is recorded honestly without a gate.
 
 Results are recorded in ``BENCH_service.json`` at the repository root,
 including the warm-cache throughput scaling from 1 to 8 client threads.
@@ -58,7 +48,6 @@ import json
 import os
 import platform
 import sys
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -68,11 +57,7 @@ if str(REPO_ROOT / "src") not in sys.path:  # script mode without PYTHONPATH=src
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.datasets.figure1 import PO1_DDL, PO2_XSD  # noqa: E402
-from repro.service import (  # noqa: E402
-    ServiceClient,
-    create_async_server,
-    create_server,
-)
+from repro.service import ServiceClient, create_server  # noqa: E402
 
 #: Cacheable strategies exercising different combination tuples.
 STRATEGY_SPECS = (
@@ -87,10 +72,6 @@ REQUESTS_PER_PHASE = 96
 WARMUP_PASSES = 2
 #: Worker counts of the thread-vs-process backend sweep.
 BACKEND_WORKERS = (1, 2, 4)
-#: Client concurrency levels of the sync-vs-async front-end sweep.
-FRONTEND_CLIENTS = (1, 8, 64)
-#: Requests per phase in the front-end sweep (>= 3 per client at the top).
-FRONTEND_REQUESTS = 192
 
 RESULT_PATH = REPO_ROOT / "BENCH_service.json"
 
@@ -158,8 +139,7 @@ def _measure(
 ) -> dict:
     """Cold and warm requests/sec for one (backend, workers, clients) setting."""
     server = create_server(port=0, pool_size=pool_size, backend=backend)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    thread = server.run_in_thread()
     client = None
     try:
         client = ServiceClient(server.url)
@@ -184,14 +164,9 @@ def _measure(
         }
     finally:
         if client is not None:
-            try:
-                client.shutdown()
-            except Exception:
-                server.shutdown()  # don't mask the original failure
-        else:
-            server.shutdown()
-        thread.join(timeout=10)
-        server.server_close()
+            client.close()
+        server.request_shutdown()
+        thread.join(timeout=30)
 
 
 def collect_backend_sweep() -> dict:
@@ -219,87 +194,6 @@ def collect_backend_sweep() -> dict:
     return sweep
 
 
-def _measure_frontend(frontend: str, client_threads: int) -> dict:
-    """Cold and warm requests/sec for one (front-end, clients) setting.
-
-    Both front-ends get the same pool (thread backend, ``POOL_SIZE`` warm
-    shards) and the same mix; only the transport tier differs.  The async
-    server's admission bound is raised above the top client count so
-    backpressure rejections never pollute the measurement.
-    """
-    if frontend == "async":
-        server = create_async_server(
-            port=0, pool_size=POOL_SIZE, max_queue=4 * max(FRONTEND_CLIENTS)
-        )
-        server_thread = server.run_in_thread()
-        stop = None
-    else:
-        server = create_server(port=0, pool_size=POOL_SIZE)
-        server_thread = threading.Thread(target=server.serve_forever, daemon=True)
-        server_thread.start()
-        stop = server.shutdown
-    client = None
-    try:
-        client = ServiceClient(server.url)
-        pairs = _upload_workload(client)
-        mix = _request_mix(pairs, count=FRONTEND_REQUESTS)
-
-        cold_seconds = _run_phase(server.url, mix, client_threads)
-        for _ in range(WARMUP_PASSES):
-            _run_phase(server.url, mix, client_threads)
-        warm_seconds = min(
-            _run_phase(server.url, mix, client_threads) for _ in range(2)
-        )
-        return {
-            "cold_seconds": round(cold_seconds, 4),
-            "warm_seconds": round(warm_seconds, 4),
-            "cold_rps": round(len(mix) / cold_seconds, 2),
-            "warm_rps": round(len(mix) / warm_seconds, 2),
-        }
-    finally:
-        if client is not None:
-            try:
-                client.shutdown()  # both front-ends honour POST /shutdown
-            except Exception:
-                if stop is not None:
-                    stop()
-                else:
-                    server.request_shutdown()
-        elif stop is not None:
-            stop()
-        else:
-            server.request_shutdown()
-        server_thread.join(timeout=30)
-        if frontend == "sync":
-            server.server_close()
-
-
-def collect_frontend_sweep() -> dict:
-    """Sync-vs-async warm throughput at 1/8/64 concurrent clients."""
-    sweep: dict = {}
-    for frontend in ("sync", "async"):
-        sweep[frontend] = {
-            str(clients): _measure_frontend(frontend, clients)
-            for clients in FRONTEND_CLIENTS
-        }
-    # The headline: the async front-end at high fan-in vs the sync front-end
-    # at the concurrency it is comfortable with (one thread per connection).
-    sweep["async_64_over_sync_8_warm"] = round(
-        sweep["async"][str(FRONTEND_CLIENTS[-1])]["warm_rps"]
-        / sweep["sync"]["8"]["warm_rps"],
-        2,
-    )
-    sweep["async_over_sync_warm"] = {
-        str(clients): round(
-            sweep["async"][str(clients)]["warm_rps"]
-            / sweep["sync"][str(clients)]["warm_rps"],
-            2,
-        )
-        for clients in FRONTEND_CLIENTS
-    }
-    return sweep
-
-
 def collect_results() -> dict:
     by_threads = {}
     for client_threads in CLIENT_THREADS:
@@ -313,9 +207,7 @@ def collect_results() -> dict:
             "1/4/8 client threads, cold vs warm cache "
             f"(pool of {POOL_SIZE} sessions, {REQUESTS_PER_PHASE} requests per "
             f"phase), plus a thread-vs-process backend sweep at "
-            f"{'/'.join(str(w) for w in BACKEND_WORKERS)} workers and a "
-            f"sync-vs-async front-end sweep at "
-            f"{'/'.join(str(c) for c in FRONTEND_CLIENTS)} clients"
+            f"{'/'.join(str(w) for w in BACKEND_WORKERS)} workers"
         ),
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
@@ -326,7 +218,6 @@ def collect_results() -> dict:
         "client_threads": by_threads,
         "warm_scaling_1_to_8": round(lowest["warm_seconds"] / highest["warm_seconds"], 2),
         "backend_sweep": collect_backend_sweep(),
-        "frontend_sweep": collect_frontend_sweep(),
     }
 
 
@@ -356,19 +247,6 @@ def _print_results(results: dict) -> None:
     print(
         f"process-over-thread warm speedup at {BACKEND_WORKERS[-1]} workers: "
         f"{sweep['process_over_thread_warm_at_max_workers']:.2f}x "
-        f"(cpu_count={results['cpu_count']})"
-    )
-    frontends = results["frontend_sweep"]
-    for frontend in ("sync", "async"):
-        for clients, numbers in frontends[frontend].items():
-            print(
-                f"frontend={frontend:<5} clients={clients:>2}: "
-                f"warm {numbers['warm_rps']:7.1f} req/s "
-                f"(cold {numbers['cold_rps']:7.1f} req/s)"
-            )
-    print(
-        f"async@{FRONTEND_CLIENTS[-1]}-over-sync@8 warm: "
-        f"{frontends['async_64_over_sync_8_warm']:.2f}x "
         f"(cpu_count={results['cpu_count']})"
     )
 
@@ -403,20 +281,6 @@ def test_service_throughput():
         assert ratio >= 1.5, (
             f"process backend only reached {ratio}x over thread warm at "
             f"{BACKEND_WORKERS[-1]} workers on a {os.cpu_count()}-core machine"
-        )
-    # The async front-end exists to survive high connection fan-in: at 64
-    # clients it must comfortably outrun the per-connection-thread front-end
-    # at its 8-thread comfort zone.  On a 1-core runner both sit on the same
-    # GIL ceiling, so the ratio is recorded honestly but not gated.
-    frontends = results["frontend_sweep"]
-    for frontend in ("sync", "async"):
-        for numbers in frontends[frontend].values():
-            assert numbers["warm_rps"] > 0
-    if (os.cpu_count() or 1) >= 2:
-        ratio = frontends["async_64_over_sync_8_warm"]
-        assert ratio >= 1.5, (
-            f"async front-end at {FRONTEND_CLIENTS[-1]} clients only reached "
-            f"{ratio}x over sync at 8 threads on a {os.cpu_count()}-core machine"
         )
 
 

@@ -21,7 +21,6 @@ at its URL instead of starting one here.
 from __future__ import annotations
 
 import sys
-import threading
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -36,8 +35,7 @@ def main() -> None:
     # pool_size=1 keeps every request on the same warm session, so the cache
     # effect in step 3 is visible; port 0 picks an ephemeral port.
     server = create_server(port=0, pool_size=1)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    thread = server.run_in_thread()
     client = ServiceClient(server.url)
     print(f"service up at {server.url}: {client.health()['status']}")
 

@@ -13,8 +13,9 @@ restarts.  A :class:`SimilarityStore` is a small SQLite database holding
   path), while ``float32`` and quantized ``uint16`` (similarities live in
   ``[0, 1]``; scale :data:`UINT16_SCALE`, maximum absolute round-trip error
   :data:`UINT16_MAX_ERROR`) trade that byte-identity for 2x / 4x smaller
-  blobs.  Every blob carries a versioned header recording its dtype, so one
-  store file remains readable whatever dtype later sessions configure;
+  blobs.  Every blob carries a versioned header recording its dtype, and the
+  dtype is part of each cube's content address, so cubes of different dtypes
+  share one store file without ever being served in place of each other;
 * **token artifacts** -- the name -> token-list memo feeding
   :class:`~repro.engine.profiles.PathSetProfile`, so a fresh process skips
   re-tokenizing names it has seen in any earlier run.
@@ -28,8 +29,8 @@ whatever its tier -- can be mutated in place by downstream code.
 
 Everything is **content-addressed**: cube keys are SHA-256 digests of
 ``(source schema content, target schema content, matcher usage, linguistic
-configuration)`` and token rows are keyed by the tokenizer configuration
-digest.  There is no invalidation protocol -- changing a schema, the matcher
+configuration, storage dtype)`` and token rows are keyed by the tokenizer
+configuration digest.  There is no invalidation protocol -- changing a schema, the matcher
 usage, the synonym dictionary, the abbreviation table or the
 type-compatibility table changes the digest, and the store simply misses.
 Stale reads are impossible by construction.
@@ -296,10 +297,24 @@ def cube_store_key(
     target_digest: str,
     matcher_usage: Sequence[str],
     config_digest: str,
+    dtype: str,
 ) -> str:
-    """The content address of one (schema pair, matcher usage, config) cube."""
+    """The content address of one (schema pair, matcher usage, config, dtype) cube.
+
+    The storage dtype is part of the address, so a lossy (``float32`` /
+    ``uint16``) cube and a lossless ``float64`` cube of the same match never
+    alias: a float64 reader of a shared store file can only be served the
+    bit-exact cube.
+
+    Examples
+    --------
+    >>> exact = cube_store_key("s", "t", ["Name"], "config", "float64")
+    >>> exact == cube_store_key("s", "t", ["Name"], "config", "uint16")
+    False
+    """
     return _sha256(
-        [source_digest, target_digest, [str(name) for name in matcher_usage], config_digest]
+        [source_digest, target_digest, [str(name) for name in matcher_usage],
+         config_digest, dtype]
     )
 
 
@@ -319,10 +334,11 @@ class SimilarityStore:
         The storage dtype for cubes **written** by this store: ``"float64"``
         (default, bit-identical round trips), ``"float32"`` or quantized
         ``"uint16"`` (max round-trip error :data:`UINT16_MAX_ERROR`).  Reads
-        honour the dtype recorded in each blob's header, so a store file
-        written under one dtype stays readable under any other -- but a
-        session requiring byte-identical warm restarts must only attach
-        store files written as ``float64``.
+        decode the dtype recorded in each blob's header.  Sessions key the
+        dtype into every cube's content address (:func:`cube_store_key`),
+        so one store file may hold cubes of several dtypes, and a
+        ``float64`` session is only ever served ``float64`` cubes: its warm
+        restarts stay byte-identical whatever other writers used the file.
     mmap_threshold:
         Payloads of at least this many bytes are written to an mmap-backed
         side file (``<path>.blobs/<key>.cube``) instead of an inline SQLite

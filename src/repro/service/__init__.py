@@ -7,9 +7,9 @@ reuse win) to live *behind* a network boundary.  This package provides that:
 * :class:`~repro.service.server.MatchService` -- the transport-agnostic core:
   schema registry, strategy registry, and a
   :class:`~repro.service.pool.SessionPool` of lock-guarded worker sessions;
-* :class:`~repro.service.server.MatchServiceServer` /
-  :func:`~repro.service.server.create_server` /
-  :func:`~repro.service.server.serve` -- the stdlib-only threading HTTP shell
+* :class:`~repro.service.aserver.MatchServiceServer` /
+  :func:`~repro.service.aserver.create_server` /
+  :func:`~repro.service.aserver.serve` -- the stdlib-only asyncio HTTP shell
   (``coma serve`` on the command line);
 * :class:`~repro.service.client.ServiceClient` -- the matching stdlib-only
   client.
@@ -19,23 +19,13 @@ See ``docs/service.md`` for the endpoint reference and deployment guide.
 
 from __future__ import annotations
 
-from repro.service.aserver import (
-    AsyncMatchServiceServer,
-    create_async_server,
-    serve_async,
-)
+from repro.service.aserver import MatchServiceServer, create_server, serve
 from repro.service.client import ServiceClient
 from repro.service.jobs import Job, JobEventStream, JobManager
 from repro.service.pool import SessionPool
-from repro.service.server import (
-    MatchService,
-    MatchServiceServer,
-    create_server,
-    serve,
-)
+from repro.service.server import MatchService
 
 __all__ = [
-    "AsyncMatchServiceServer",
     "Job",
     "JobEventStream",
     "JobManager",
@@ -43,8 +33,6 @@ __all__ = [
     "MatchServiceServer",
     "ServiceClient",
     "SessionPool",
-    "create_async_server",
     "create_server",
     "serve",
-    "serve_async",
 ]

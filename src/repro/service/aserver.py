@@ -1,11 +1,8 @@
-"""The asyncio front-end: thousands of connections, one event loop.
+"""The HTTP front-end of the match service: one asyncio event loop.
 
-The threading front-end (:mod:`repro.service.server`) spends one OS thread
-per connection, so its concurrency ceiling is the thread scheduler -- warm
-throughput *falls* as client counts rise, and a long-running request holds a
-thread hostage for its whole duration.  This module replaces the transport
-tier with a single-threaded ``asyncio`` server (stdlib only) while keeping
-**every** matching semantic untouched:
+A stdlib-only HTTP/1.1 shell around the transport-agnostic
+:class:`~repro.service.server.MatchService`.  Every connection is a
+coroutine on one event loop; the matching itself runs elsewhere:
 
 * **Non-blocking accept/parse.**  An incremental HTTP/1.1 parser over
   ``asyncio`` streams: request heads are read with
@@ -18,13 +15,12 @@ tier with a single-threaded ``asyncio`` server (stdlib only) while keeping
   written.
 
 * **Pool handoff.**  Requests are dispatched with
-  ``loop.run_in_executor`` onto a small thread pool that calls the same
-  transport-agnostic :meth:`MatchService.handle_request
-  <repro.service.server.MatchService.handle_request>` the sync front-end
-  uses; match execution still happens on the existing
-  :class:`~repro.service.pool.SessionPool` /
+  ``loop.run_in_executor`` onto a small thread pool (pool size + 2
+  threads) that calls :meth:`MatchService.handle_request
+  <repro.service.server.MatchService.handle_request>`; match execution
+  happens on the :class:`~repro.service.pool.SessionPool` /
   :class:`~repro.parallel.pool.ProcessSessionPool` shards, so responses are
-  byte-identical across front-ends (locked down by
+  byte-identical across backends (locked down by
   ``tests/test_service_differential.py``).
 
 * **Bounded queues with backpressure.**  At most ``max_queue`` requests may
@@ -41,11 +37,9 @@ tier with a single-threaded ``asyncio`` server (stdlib only) while keeping
   manager, which cancels ``cancel_on_disconnect`` jobs so their next chunk
   never runs.
 
-Run it with ``coma serve --frontend async`` (the sync front-end stays the
-default until an operator opts in), embed it via :func:`create_async_server`
-/ :meth:`AsyncMatchServiceServer.run_in_thread`, or drive a whole process
-with :func:`serve_async`.  See ``docs/service.md`` ("Async front-end and the
-jobs API") for the operator guide.
+Run it with ``coma serve``, embed it via :func:`create_server` /
+:meth:`MatchServiceServer.run_in_thread`, or drive a whole process with
+:func:`serve`.  See ``docs/service.md`` for the operator guide.
 """
 
 from __future__ import annotations
@@ -108,14 +102,13 @@ class _ParsedRequest:
         self.keep_alive = keep_alive
 
 
-class AsyncMatchServiceServer:
+class MatchServiceServer:
     """The asyncio HTTP shell around one :class:`MatchService`.
 
     Parameters
     ----------
     service:
-        The transport-agnostic service core (shared vocabulary with the sync
-        front-end: same endpoints, same bytes).
+        The transport-agnostic service core.
     host / port:
         The bind address (``port=0`` picks an ephemeral port; read the real
         one off :attr:`url` after :meth:`start`).
@@ -123,9 +116,6 @@ class AsyncMatchServiceServer:
         Backpressure bound: the maximum number of requests admitted at once
         (executing on the dispatch pool or waiting for a thread).  Request
         ``max_queue + 1`` is answered 429 with ``Retry-After`` immediately.
-    executor_workers:
-        Dispatch-pool threads (default: pool size + 2 -- enough to keep
-        every worker shard busy plus cheap registry requests in flight).
     read_timeout:
         Seconds a client may take to deliver a request head or body before
         the connection is answered 408 and closed (the slow-loris guard).
@@ -140,7 +130,6 @@ class AsyncMatchServiceServer:
         host: str = "127.0.0.1",
         port: int = 8765,
         max_queue: int = DEFAULT_MAX_QUEUE,
-        executor_workers: Optional[int] = None,
         read_timeout: float = DEFAULT_READ_TIMEOUT,
         verbose: bool = False,
     ):
@@ -154,10 +143,6 @@ class AsyncMatchServiceServer:
         self._max_queue = max_queue
         self._read_timeout = read_timeout
         self._verbose = verbose
-        self._executor_workers = (
-            executor_workers if executor_workers is not None
-            else service.pool.size + 2
-        )
         self._executor: Optional[ThreadPoolExecutor] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -186,21 +171,21 @@ class AsyncMatchServiceServer:
         """Bind the listening socket and start accepting connections."""
         self._loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
+        # Enough threads to keep every worker shard busy plus cheap
+        # registry requests in flight.
         self._executor = ThreadPoolExecutor(
-            max_workers=self._executor_workers,
-            thread_name_prefix="coma-async-dispatch",
+            max_workers=self.service.pool.size + 2,
+            thread_name_prefix="coma-dispatch",
         )
         self._server = await asyncio.start_server(
             self._serve_connection, self._host, self._port, limit=MAX_HEAD_BYTES
         )
         self._port = self._server.sockets[0].getsockname()[1]
-        self.service.frontend_name = "async"
         self.service.frontend_stats = self.frontend_stats
 
     def frontend_stats(self) -> dict:
         """The ``/stats`` ``frontend`` block: queue occupancy and rejections."""
         return {
-            "kind": "async",
             "in_flight": self._in_flight,
             "max_queue": self._max_queue,
             "queue_free": max(0, self._max_queue - self._in_flight),
@@ -279,11 +264,11 @@ class AsyncMatchServiceServer:
         started = threading.Event()
         thread = threading.Thread(
             target=self._run_blocking, args=(started,),
-            name="coma-async-server", daemon=True,
+            name="coma-server", daemon=True,
         )
         thread.start()
         if not started.wait(timeout=30):  # pragma: no cover - hung loop guard
-            raise ServiceError("the async server did not start within 30s")
+            raise ServiceError("the server did not start within 30s")
         if self._startup_error is not None:
             raise self._startup_error
         return thread
@@ -391,9 +376,9 @@ class AsyncMatchServiceServer:
             raise _BadRequest(400, f"invalid Content-Length {raw_length!r}")
         payload: Optional[dict] = None
         if length > MAX_BODY_BYTES:
-            # Mirror the sync front-end: drain moderately oversized bodies so
-            # the 413 is readable on the keep-alive connection; truly huge
-            # declarations are cut off instead of read.
+            # Drain moderately oversized bodies so the 413 is readable on
+            # the keep-alive connection; truly huge declarations are cut
+            # off instead of read.
             close = True
             if length <= 4 * MAX_BODY_BYTES:
                 close = not await self._drain_body(reader, length)
@@ -515,7 +500,7 @@ class AsyncMatchServiceServer:
         body = json.dumps(payload).encode("utf-8")
         headers = [
             f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
-            f"Server: coma-match-service/{__version__} (async)",
+            f"Server: coma-match-service/{__version__}",
             "Content-Type: application/json",
             f"Content-Length: {len(body)}",
             f"Connection: {'keep-alive' if keep_alive else 'close'}",
@@ -546,7 +531,7 @@ class AsyncMatchServiceServer:
         """
         head = (
             f"HTTP/1.1 200 OK\r\n"
-            f"Server: coma-match-service/{__version__} (async)\r\n"
+            f"Server: coma-match-service/{__version__}\r\n"
             f"Content-Type: {stream.content_type}\r\n"
             f"Transfer-Encoding: chunked\r\n"
             f"Connection: close\r\n\r\n"
@@ -573,28 +558,26 @@ class AsyncMatchServiceServer:
             eof_watch.cancel()
 
 
-def create_async_server(
+def create_server(
     host: str = "127.0.0.1",
     port: int = 8765,
     service: Optional[MatchService] = None,
     verbose: bool = False,
     max_queue: int = DEFAULT_MAX_QUEUE,
-    executor_workers: Optional[int] = None,
     read_timeout: float = DEFAULT_READ_TIMEOUT,
     **service_kwargs,
-) -> AsyncMatchServiceServer:
-    """Build a not-yet-started :class:`AsyncMatchServiceServer`.
+) -> MatchServiceServer:
+    """Build a not-yet-started :class:`MatchServiceServer`.
 
-    Mirrors :func:`repro.service.server.create_server`: pass an existing
-    :class:`MatchService` or let one be built from ``service_kwargs``
-    (``pool_size``, ``backend``, ``store_path``, ...).  Start it with
-    :meth:`~AsyncMatchServiceServer.run_in_thread` (tests, embedding) or
-    await :meth:`~AsyncMatchServiceServer.serve_until_stopped` on a loop you
-    own.
+    Pass an existing :class:`MatchService` or let one be built from
+    ``service_kwargs`` (``pool_size``, ``backend``, ``store_path``, ...).
+    Start it with :meth:`~MatchServiceServer.run_in_thread` (tests,
+    embedding) or await :meth:`~MatchServiceServer.serve_until_stopped` on a
+    loop you own.
 
     Examples
     --------
-    >>> server = create_async_server(port=0, pool_size=1)
+    >>> server = create_server(port=0, pool_size=1)
     >>> thread = server.run_in_thread()
     >>> server.url.startswith("http://127.0.0.1:")
     True
@@ -607,33 +590,30 @@ def create_async_server(
             f"pass either a service instance or service keyword arguments, "
             f"not both (got {sorted(service_kwargs)})"
         )
-    return AsyncMatchServiceServer(
+    return MatchServiceServer(
         service, host=host, port=port, max_queue=max_queue,
-        executor_workers=executor_workers, read_timeout=read_timeout,
-        verbose=verbose,
+        read_timeout=read_timeout, verbose=verbose,
     )
 
 
-def serve_async(
+def serve(
     host: str = "127.0.0.1",
     port: int = 8765,
     verbose: bool = True,
     max_queue: int = DEFAULT_MAX_QUEUE,
-    executor_workers: Optional[int] = None,
     read_timeout: float = DEFAULT_READ_TIMEOUT,
     **service_kwargs,
 ) -> None:
-    """Run the async front-end until interrupted (``coma serve --frontend async``)."""
-    server = create_async_server(
+    """Run the match service until interrupted (the ``coma serve`` entry point)."""
+    server = create_server(
         host=host, port=port, verbose=verbose, max_queue=max_queue,
-        executor_workers=executor_workers, read_timeout=read_timeout,
-        **service_kwargs,
+        read_timeout=read_timeout, **service_kwargs,
     )
 
     async def main() -> None:
         await server.start()
         print(f"coma match service listening on {server.url} "
-              f"(frontend=async, backend={server.service.backend}, "
+              f"(backend={server.service.backend}, "
               f"workers={server.service.pool.size}, "
               f"max_queue={max_queue}); Ctrl-C to stop")
         try:

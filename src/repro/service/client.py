@@ -1,7 +1,7 @@
 """A stdlib-only client for the match service.
 
 :class:`ServiceClient` wraps the JSON API of
-:class:`~repro.service.server.MatchServiceServer` in typed convenience
+:class:`~repro.service.aserver.MatchServiceServer` in typed convenience
 methods (``urllib.request`` underneath, no third-party dependencies), so
 programs talk to a remote matcher with the same vocabulary the in-process
 :class:`~repro.session.session.MatchSession` uses::
@@ -80,7 +80,7 @@ class ServiceClient:
         Per-request socket timeout in seconds.
     retries:
         How many times a request answered ``429 Too Many Requests`` is
-        retried (default 0: fail fast).  A 429 means the async front-end's
+        retried (default 0: fail fast).  A 429 means the server's
         bounded queue refused admission *before* any work started, so the
         replay is safe for every method, not just GET.  Each wait honours
         the server's ``Retry-After`` header, falling back to a deterministic
@@ -163,8 +163,8 @@ class ServiceClient:
         such as ``/health`` and ``/stats``, whose replay cannot duplicate
         work.  Timeouts are never retried.
 
-        With ``retries > 0``, a ``429 Too Many Requests`` answer (the async
-        front-end's bounded queue refusing admission -- the request was
+        With ``retries > 0``, a ``429 Too Many Requests`` answer (the
+        server's bounded queue refusing admission -- the request was
         never started, so replay cannot duplicate work) is retried up to
         that many times, sleeping the server's ``Retry-After`` when it sent
         one and a deterministic doubling backoff otherwise, both capped at

@@ -1,9 +1,9 @@
 """Background jobs: long-running match campaigns behind the service API.
 
 Corpus-scale work -- a thousand-pair batch, a top-K search over a large
-corpus -- takes minutes, and holding an HTTP connection (plus, on the sync
-front-end, a server thread) open for the whole run does not survive real
-networks.  The job subsystem turns those requests into *background campaigns*:
+corpus -- takes minutes, and holding an HTTP connection open for the whole
+run does not survive real networks.  The job subsystem turns those requests
+into *background campaigns*:
 
 * ``POST /jobs`` validates the campaign up front (every invalid entry is
   reported with its index, like ``/match/batch``), registers a :class:`Job`
@@ -20,10 +20,9 @@ networks.  The job subsystem turns those requests into *background campaigns*:
   snapshot of the same state.
 
 Events are deterministic -- sequence numbers and counts, no timestamps -- so
-the same campaign streams byte-identical event lines from the sync and async
-front-ends and across thread/process backends (the differential suite hashes
-them).  Wall-clock timing lives only in the ``GET /jobs/<id>`` snapshot
-(``duration_seconds``).
+the same campaign streams byte-identical event lines on the thread and
+process backends (the golden-transcript suite pins them).  Wall-clock
+timing lives only in the ``GET /jobs/<id>`` snapshot (``duration_seconds``).
 
 A job submitted with ``"cancel_on_disconnect": true`` is cancelled when the
 client streaming its events disconnects mid-stream -- the fault-injection
@@ -57,11 +56,9 @@ JOB_STATES = ("running", "done", "error", "cancelled")
 class Job:
     """One background campaign: state, progress counters and the event log.
 
-    All mutation happens under one condition variable; readers take
-    consistent snapshots (:meth:`status`, :meth:`events_after`) and blocking
-    consumers wait on the condition (:meth:`wait_events`), so the sync
-    front-end tails events without polling while the async front-end polls
-    :meth:`events_after` from the event loop.
+    All mutation happens under one lock; readers take consistent snapshots
+    (:meth:`status`, :meth:`events_after`), which the HTTP shell polls from
+    its event loop to tail the event log.
     """
 
     def __init__(self, job_id: str, kind: str, total: int, chunks: int,
@@ -76,7 +73,7 @@ class Job:
         self.result: Optional[dict] = None
         self.error: Optional[str] = None
         self._events: List[dict] = []
-        self._condition = threading.Condition()
+        self._lock = threading.Lock()
         self._cancel = threading.Event()
         self._started = time.monotonic()
         self._finished_at: Optional[float] = None
@@ -84,15 +81,14 @@ class Job:
     # -- event log -------------------------------------------------------------
 
     def publish(self, event: dict) -> None:
-        """Append one event (stamped with its sequence number) and wake tails."""
-        with self._condition:
+        """Append one event (stamped with its sequence number)."""
+        with self._lock:
             self._events.append({"seq": len(self._events), **event})
-            self._condition.notify_all()
 
     def finish(self, state: str, *, result: Optional[dict] = None,
                error: Optional[str] = None) -> None:
         """Transition to a terminal state and publish the terminal event."""
-        with self._condition:
+        with self._lock:
             if self.state != "running":  # already terminal (e.g. cancel race)
                 return
             self.state = state
@@ -119,7 +115,7 @@ class Job:
         pool shard working the current chunk is always released back to the
         free-list -- cancellation never leaks a shard.
         """
-        with self._condition:
+        with self._lock:
             running = self.state == "running"
         self._cancel.set()
         return running
@@ -131,19 +127,12 @@ class Job:
 
     def events_after(self, seq: int) -> Tuple[List[dict], bool]:
         """Events with sequence >= ``seq`` plus the current finished flag."""
-        with self._condition:
-            return list(self._events[seq:]), self.state != "running"
-
-    def wait_events(self, seq: int, timeout: float = 1.0) -> Tuple[List[dict], bool]:
-        """Block up to ``timeout`` for events past ``seq`` (sync tailing)."""
-        with self._condition:
-            if len(self._events) <= seq and self.state == "running":
-                self._condition.wait(timeout)
+        with self._lock:
             return list(self._events[seq:]), self.state != "running"
 
     def status(self, include_result: bool = True) -> dict:
         """The ``GET /jobs/<id>`` snapshot of this job."""
-        with self._condition:
+        with self._lock:
             payload = {
                 "job": self.id,
                 "kind": self.kind,
@@ -340,10 +329,9 @@ class JobEventStream:
 
     The transport-agnostic :meth:`MatchService.handle_request
     <repro.service.server.MatchService.handle_request>` returns this object
-    instead of a JSON dict for the events endpoint; each front-end renders it
-    as chunked NDJSON its own way -- the sync handler blocks on
-    :meth:`tail`, the async front-end polls :meth:`poll` from the event loop
-    -- and reports a dropped consumer through :meth:`disconnected`.
+    instead of a JSON dict for the events endpoint; the HTTP shell polls
+    :meth:`poll` from its event loop, renders the lines as chunked NDJSON
+    and reports a dropped consumer through :meth:`disconnected`.
     """
 
     content_type = "application/x-ndjson"
@@ -361,12 +349,6 @@ class JobEventStream:
     def poll(self) -> Tuple[List[bytes], bool]:
         """Encoded lines published since the last call + the finished flag."""
         events, finished = self.job.events_after(self._seq)
-        self._seq += len(events)
-        return [self.encode(event) for event in events], finished
-
-    def tail(self, timeout: float = 1.0) -> Tuple[List[bytes], bool]:
-        """Like :meth:`poll` but blocks up to ``timeout`` for the next event."""
-        events, finished = self.job.wait_events(self._seq, timeout)
         self._seq += len(events)
         return [self.encode(event) for event in events], finished
 

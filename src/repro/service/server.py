@@ -1,6 +1,6 @@
 """The match service: COMA's session layer behind an HTTP boundary.
 
-A stdlib-only JSON API (``http.server.ThreadingHTTPServer``) wrapping a pool
+The transport-agnostic core of a stdlib-only JSON API, wrapping a pool
 of warm :class:`~repro.session.session.MatchSession` workers -- in-process
 shards (:class:`~repro.service.pool.SessionPool`, the default ``thread``
 backend) or spawned worker processes
@@ -40,6 +40,10 @@ Errors are JSON too -- ``{"error": "<message>"}`` with a 4xx/5xx status; the
 :class:`~repro.service.client.ServiceClient` raises them as
 :class:`~repro.exceptions.ServiceError`.
 
+:class:`MatchService` maps each request to a response;
+:mod:`repro.service.aserver` is the HTTP shell that serves it
+(``coma serve``).
+
 See ``docs/service.md`` for the full endpoint reference and deployment guide.
 """
 
@@ -51,7 +55,6 @@ import sqlite3
 import threading
 import time
 import urllib.parse
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.strategy import MatchStrategy
@@ -73,7 +76,8 @@ class MatchService:
 
     The service is transport-agnostic -- :meth:`handle_request` maps a
     ``(method, path, payload)`` triple to a ``(status, payload)`` pair, and
-    the HTTP layer (:class:`MatchServiceServer`) is a thin shell around it.
+    the HTTP layer (:class:`~repro.service.aserver.MatchServiceServer`) is a
+    thin shell around it.
     All registry state is guarded by one lock; match execution happens on an
     exclusively acquired pool shard outside that lock, so slow matches do not
     serialise unrelated requests.
@@ -256,9 +260,8 @@ class MatchService:
         self._request_counts: Dict[str, int] = {}
         self._started = time.monotonic()
         self._jobs = JobManager(self)
-        #: The serving front-end ("sync" | "async"); the async server flips
-        #: this and installs a live :attr:`frontend_stats` provider.
-        self.frontend_name = "sync"
+        #: The HTTP server installs its live ``/stats`` ``frontend`` block
+        #: provider here (None when the service is driven in-process).
         self.frontend_stats: Optional[Callable[[], dict]] = None
 
     # -- registries ------------------------------------------------------------
@@ -376,7 +379,7 @@ class MatchService:
         any other :class:`~repro.exceptions.ComaError` a 400.  One route
         (``GET /jobs/<id>/events``) answers with a
         :class:`~repro.service.jobs.JobEventStream` instead of a JSON dict;
-        the front-ends render it as a chunked NDJSON response.
+        the HTTP shell renders it as a chunked NDJSON response.
         """
         segments = [
             urllib.parse.unquote(part)
@@ -529,7 +532,6 @@ class MatchService:
             "components": components,
             "service": f"coma-match-service/{__version__}",
             "backend": self._backend,
-            "frontend": self.frontend_name,
             "pool_size": self._pool.size,
             "jobs_running": jobs["running"],
             "schemas": schema_count,
@@ -546,11 +548,7 @@ class MatchService:
         with self._state_lock:
             requests = dict(sorted(self._request_counts.items()))
             schema_count = len(self._schemas)
-        frontend = (
-            self.frontend_stats()
-            if self.frontend_stats is not None
-            else {"kind": self.frontend_name}
-        )
+        frontend = self.frontend_stats() if self.frontend_stats is not None else None
         return {
             "uptime_seconds": round(time.monotonic() - self._started, 3),
             "backend": self._backend,
@@ -689,8 +687,7 @@ class MatchService:
 
         Shared by ``/match``, ``/match/batch``, ``/search`` and the jobs
         runner, so every execution path serialises outcomes identically (the
-        differential suite hashes these payloads across front-ends and
-        backends).
+        golden-transcript suite hashes these payloads on both backends).
         """
         correspondences = [
             {
@@ -1014,241 +1011,3 @@ class MatchService:
         if not removed:
             raise ServiceError(f"no stored strategy named {name!r}", status=404)
         return 200, {"deleted": name}
-
-
-class _ServiceRequestHandler(BaseHTTPRequestHandler):
-    """Thin HTTP shell: JSON in, JSON out, everything else in MatchService."""
-
-    server_version = f"coma-match-service/{__version__}"
-    protocol_version = "HTTP/1.1"
-    #: Headers and body go out as separate writes; without TCP_NODELAY the
-    #: write-write-read pattern triggers Nagle + delayed-ACK stalls (~40ms
-    #: per response) under concurrent load.
-    disable_nagle_algorithm = True
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002 - stdlib signature
-        if getattr(self.server, "verbose", False):  # pragma: no cover - ops aid
-            super().log_message(format, *args)
-
-    def _read_payload(self) -> Optional[dict]:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
-            return None
-        if length > MAX_BODY_BYTES:
-            # Drain the oversized body first: responding with unread request
-            # bytes on the socket desynchronizes the keep-alive connection
-            # (the client is still sending and only sees a broken pipe).
-            # Truly huge bodies are not worth draining -- close instead.
-            if length <= 4 * MAX_BODY_BYTES:
-                remaining = length
-                while remaining > 0:
-                    chunk = self.rfile.read(min(remaining, 1 << 20))
-                    if not chunk:
-                        break
-                    remaining -= len(chunk)
-            else:
-                self.close_connection = True
-            raise ServiceError(
-                f"request body of {length} bytes exceeds the "
-                f"{MAX_BODY_BYTES} byte limit", status=413,
-            )
-        raw = self.rfile.read(length)
-        try:
-            decoded = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise ServiceError(f"request body is not valid JSON: {error}", status=400)
-        if not isinstance(decoded, dict):
-            raise ServiceError("the request body must be a JSON object", status=400)
-        return decoded
-
-    def _respond(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _stream_events(self, stream: JobEventStream) -> None:
-        """Render a job event stream as a chunked NDJSON response.
-
-        The handler thread blocks on the job's condition variable between
-        events (no polling); a consumer that drops the connection mid-stream
-        surfaces as a write error, which is reported to the job manager so
-        ``cancel_on_disconnect`` jobs are cancelled and their next chunk
-        never runs.  Event streams always close the connection when done --
-        tailing responses have no meaningful keep-alive.
-        """
-        self.close_connection = True
-        self.send_response(200)
-        self.send_header("Content-Type", stream.content_type)
-        self.send_header("Transfer-Encoding", "chunked")
-        self.send_header("Connection", "close")
-        self.end_headers()
-        try:
-            while True:
-                lines, finished = stream.tail(timeout=0.5)
-                for line in lines:
-                    self.wfile.write(b"%x\r\n" % len(line) + line + b"\r\n")
-                if lines:
-                    self.wfile.flush()
-                if finished and stream.drained:
-                    break
-            self.wfile.write(b"0\r\n\r\n")
-        except (BrokenPipeError, ConnectionResetError, OSError):
-            stream.disconnected()
-
-    def _handle(self, method: str) -> None:
-        try:
-            payload = self._read_payload()
-            if method == "POST" and self.path.split("?")[0].rstrip("/") == "/shutdown":
-                self._respond(200, {"status": "shutting down"})
-                threading.Thread(target=self.server.shutdown, daemon=True).start()
-                return
-            status, response = self.server.service.handle_request(
-                method, self.path, payload
-            )
-        except ServiceError as error:
-            status, response = (error.status or 400, {"error": str(error), **error.details})
-        except Exception as error:  # pragma: no cover - defensive 500 path
-            status, response = (500, {"error": f"internal error: {error}"})
-        if isinstance(response, JobEventStream):
-            self._stream_events(response)
-            return
-        self._respond(status, response)
-
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        self._handle("GET")
-
-    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        self._handle("POST")
-
-    def do_DELETE(self) -> None:  # noqa: N802 - stdlib naming
-        self._handle("DELETE")
-
-
-class MatchServiceServer(ThreadingHTTPServer):
-    """A threading HTTP server bound to one :class:`MatchService`."""
-
-    daemon_threads = True
-    allow_reuse_address = True
-    #: The socketserver default backlog of 5 drops simultaneous connection
-    #: bursts (the SYN retransmit shows up as ~1s latency outliers).
-    request_queue_size = 128
-
-    def __init__(self, address: Tuple[str, int], service: MatchService,
-                 verbose: bool = False):
-        super().__init__(address, _ServiceRequestHandler)
-        self.service = service
-        self.verbose = verbose
-
-    def server_close(self) -> None:
-        """Close the listening socket and the service's persistent resources.
-
-        Every shutdown path funnels through here (``serve()``'s finally
-        block, embedded ``create_server`` users, ``POST /shutdown``), so the
-        similarity store is always flushed and its lifetime counters
-        persisted; :meth:`MatchService.close` is idempotent.
-        """
-        super().server_close()
-        self.service.close()
-
-    @property
-    def url(self) -> str:
-        """The base URL clients should talk to."""
-        host, port = self.server_address[0], self.server_address[1]
-        return f"http://{host}:{port}"
-
-
-def create_server(
-    host: str = "127.0.0.1",
-    port: int = 8765,
-    service: Optional[MatchService] = None,
-    verbose: bool = False,
-    **service_kwargs,
-) -> MatchServiceServer:
-    """Build a ready-to-serve :class:`MatchServiceServer`.
-
-    Parameters
-    ----------
-    host / port:
-        The bind address (pass ``port=0`` for an ephemeral port, handy in
-        tests and benchmarks; read the chosen port off ``server.url``).
-    service:
-        An existing :class:`MatchService` to expose; by default a fresh one
-        is built from ``service_kwargs`` (``pool_size``, ``repository_path``,
-        ...).
-    verbose:
-        Log each request line to stderr (the default stays quiet).
-
-    Returns
-    -------
-    MatchServiceServer
-        Not yet serving: call ``serve_forever()`` (or run it on a thread).
-
-    Examples
-    --------
-    >>> server = create_server(port=0, pool_size=1)
-    >>> server.url.startswith("http://127.0.0.1:")
-    True
-    >>> server.server_close()
-    """
-    if service is None:
-        service = MatchService(**service_kwargs)
-    elif service_kwargs:
-        raise ServiceError(
-            f"pass either a service instance or service keyword arguments, "
-            f"not both (got {sorted(service_kwargs)})"
-        )
-    return MatchServiceServer((host, port), service, verbose=verbose)
-
-
-def serve(
-    host: str = "127.0.0.1",
-    port: int = 8765,
-    verbose: bool = True,
-    frontend: str = "sync",
-    max_queue: Optional[int] = None,
-    read_timeout: Optional[float] = None,
-    **service_kwargs,
-) -> None:
-    """Run the match service until interrupted (the ``coma serve`` entry point).
-
-    ``frontend`` selects the HTTP shell: ``"sync"`` (default) is the
-    threading server in this module, ``"async"`` the single-threaded
-    ``asyncio`` front-end (:mod:`repro.service.aserver`) with keep-alive +
-    pipelining, bounded-queue backpressure (``max_queue`` admitted requests,
-    429 beyond) and slow-client read timeouts (``read_timeout`` seconds).
-    Matching semantics are identical either way -- both shells dispatch into
-    the same :class:`MatchService`.
-    """
-    if frontend == "async":
-        from repro.service.aserver import serve_async
-
-        async_options = {}
-        if max_queue is not None:
-            async_options["max_queue"] = max_queue
-        if read_timeout is not None:
-            async_options["read_timeout"] = read_timeout
-        serve_async(host=host, port=port, verbose=verbose,
-                    **async_options, **service_kwargs)
-        return
-    if frontend != "sync":
-        raise ServiceError(
-            f"unknown service frontend {frontend!r}: choose 'sync' or 'async'"
-        )
-    if max_queue is not None or read_timeout is not None:
-        raise ServiceError(
-            "max_queue / read_timeout apply to the async front-end only "
-            "(frontend='async')"
-        )
-    server = create_server(host=host, port=port, verbose=verbose, **service_kwargs)
-    print(f"coma match service listening on {server.url} "
-          f"(frontend=sync, backend={server.service.backend}, "
-          f"workers={server.service.pool.size}); Ctrl-C to stop")
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
-        pass
-    finally:
-        server.server_close()  # also closes the service's persistent store

@@ -935,7 +935,8 @@ class MatchSession:
                     )
                     prev_cube = store.load_cube(
                         cube_store_key(
-                            source_digest, target_digest, old_key[2], self._store_config
+                            source_digest, target_digest, old_key[2],
+                            self._store_config, store.dtype,
                         ),
                         old_key[0],
                         old_key[1],
@@ -1012,7 +1013,7 @@ class MatchSession:
             self._rematch_reused_rows += delta.reused
             self._rematch_recomputed_rows += delta.recomputed
         if store is not None:
-            store_key = self._store_key_for(context, key[2])
+            store_key = self._store_key_for(store, context, key[2])
             store.store_cube_async(
                 store_key[0], cube, store_key[1], store_key[2], key[2], self._store_config
             )
@@ -1513,7 +1514,7 @@ class MatchSession:
         store = self._store
         store_key = None
         if key is not None and store is not None:
-            store_key = self._store_key_for(context, key[2])
+            store_key = self._store_key_for(store, context, key[2])
             stored = store.load_cube(store_key[0], key[0], key[1])
             if stored is not None:
                 with self._lock:
@@ -1544,7 +1545,7 @@ class MatchSession:
         return cube
 
     def _store_key_for(
-        self, context: MatchContext, usage: Tuple[str, ...]
+        self, store: "SimilarityStore", context: MatchContext, usage: Tuple[str, ...]
     ) -> Tuple[str, str, str]:
         """``(store key, source digest, target digest)`` of one execution."""
         from repro.repository.store import cube_store_key
@@ -1552,7 +1553,10 @@ class MatchSession:
         source_digest = self._schema_digest(context.source_schema)
         target_digest = self._schema_digest(context.target_schema)
         return (
-            cube_store_key(source_digest, target_digest, usage, self._store_config),
+            cube_store_key(
+                source_digest, target_digest, usage, self._store_config,
+                store.dtype,
+            ),
             source_digest,
             target_digest,
         )

@@ -24,14 +24,6 @@ def test_unknown_backend_exits_nonzero_listing_the_choices(capsys):
     assert "'thread'" in captured.err and "'process'" in captured.err
 
 
-def test_workers_and_pool_size_conflict(capsys):
-    code = console_main(
-        ["serve", "--workers", "2", "--pool-size", "4", "--port", "0"]
-    )
-    assert code == 1
-    assert "deprecated alias" in capsys.readouterr().err
-
-
 def test_unwritable_store_path_exits_nonzero_cleanly(tmp_path, capsys):
     target = tmp_path / "no-such-directory" / "deeper" / "store.db"
     code = console_main(["serve", "--store", str(target), "--port", "0"])
@@ -42,10 +34,6 @@ def test_unwritable_store_path_exits_nonzero_cleanly(tmp_path, capsys):
     # Validation failed before any socket was bound or file created.
     assert not target.parent.exists()
 
-
-def test_zero_pool_size_alias_is_validated_too(capsys):
-    assert console_main(["serve", "--pool-size", "0", "--port", "0"]) == 1
-    assert "--workers must be >= 1" in capsys.readouterr().err
 
 def test_fault_plan_is_refused_without_the_environment_gate(
     tmp_path, capsys, monkeypatch

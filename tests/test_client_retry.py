@@ -21,7 +21,7 @@ import pytest
 
 from repro.datasets.figure1 import PO1_DDL, PO2_XSD
 from repro.exceptions import ServiceError
-from repro.service import ServiceClient, create_async_server, create_server
+from repro.service import ServiceClient, create_server
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -39,11 +39,9 @@ class _ServerDied(RuntimeError):
 def _spawn_server(port: int) -> subprocess.Popen:
     """Run ``coma serve`` in a real child process (a killable server).
 
-    An in-process ``server_close()`` is not a faithful restart: the
-    threading server's daemon handler threads keep serving *established*
-    keep-alive connections, so the client's pooled connection would never go
-    stale.  Killing a child process drops every connection the way a real
-    restart does.
+    An in-process shutdown is not a faithful restart: it drains gracefully
+    instead of dropping connections mid-flight.  Killing a child process
+    drops every connection the way a real crash-and-restart does.
     """
     environment = dict(os.environ)
     environment["PYTHONPATH"] = SRC_DIR + os.pathsep + environment.get("PYTHONPATH", "")
@@ -191,16 +189,14 @@ class _ResetFirstConnectionProxy(threading.Thread):
 @pytest.fixture()
 def real_server():
     server = create_server(port=0, pool_size=1)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    thread = server.run_in_thread()
     yield server
-    server.shutdown()
+    server.request_shutdown()
     thread.join(timeout=10)
-    server.server_close()
 
 
-class _SaturatedAsyncServer:
-    """A real async front-end wedged at capacity (every slot parked).
+class _SaturatedServer:
+    """A real server wedged at capacity (every slot parked).
 
     ``max_queue`` raw requests are parked on a patched ``/block`` route, so
     the *next* request of any client is answered with a genuine
@@ -210,7 +206,7 @@ class _SaturatedAsyncServer:
     """
 
     def __init__(self, max_queue: int = 2):
-        self.server = create_async_server(port=0, pool_size=1, max_queue=max_queue)
+        self.server = create_server(port=0, pool_size=1, max_queue=max_queue)
         self.thread = self.server.run_in_thread()
         self.max_queue = max_queue
         self._release = threading.Event()
@@ -252,7 +248,7 @@ class _SaturatedAsyncServer:
 
 class TestRetryAfterBackoff:
     def test_default_client_fails_fast_with_the_retry_hint(self):
-        wedged = _SaturatedAsyncServer()
+        wedged = _SaturatedServer()
         try:
             wedged.saturate()
             client = ServiceClient(f"http://127.0.0.1:{wedged.server.port}")
@@ -266,7 +262,7 @@ class TestRetryAfterBackoff:
             wedged.close()
 
     def test_opted_in_client_honours_retry_after_and_succeeds(self):
-        wedged = _SaturatedAsyncServer()
+        wedged = _SaturatedServer()
         try:
             wedged.saturate()
             client = ServiceClient(
@@ -284,7 +280,7 @@ class TestRetryAfterBackoff:
             wedged.close()
 
     def test_retries_exhaust_into_the_original_429(self):
-        wedged = _SaturatedAsyncServer()
+        wedged = _SaturatedServer()
         try:
             wedged.saturate()
             # Never released: every retry meets the same full queue, and the
@@ -347,7 +343,7 @@ class TestRetryDelayClamping:
 
 class TestFreshConnectionSemantics:
     def test_fresh_get_is_retried_once_after_a_reset(self, real_server):
-        proxy = _ResetFirstConnectionProxy(real_server.server_address[1])
+        proxy = _ResetFirstConnectionProxy(real_server.port)
         proxy.start()
         try:
             client = ServiceClient(f"http://127.0.0.1:{proxy.port}")
@@ -358,7 +354,7 @@ class TestFreshConnectionSemantics:
             proxy.stop()
 
     def test_fresh_post_is_not_silently_replayed(self, real_server):
-        proxy = _ResetFirstConnectionProxy(real_server.server_address[1])
+        proxy = _ResetFirstConnectionProxy(real_server.port)
         proxy.start()
         try:
             client = ServiceClient(f"http://127.0.0.1:{proxy.port}")

@@ -96,6 +96,7 @@ class TestDoctests:
             "repro.engine.profiles",
             "repro.service.pool",
             "repro.service.server",
+            "repro.service.aserver",
             "repro.service.client",
             "repro.faults.plan",
             "repro.faults.catalog",

@@ -39,15 +39,13 @@ def _expected_rows(source, target, strategy=None):
 def service_client():
     """A running server (ephemeral port) + client, shut down after the module."""
     server = create_server(port=0, pool_size=3)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    thread = server.run_in_thread()
     client = ServiceClient(server.url)
     client.upload_schema(name="PO1", text=PO1_DDL, format="sql")
     client.upload_schema(name="PO2", text=PO2_XSD, format="xsd")
     yield client
     client.shutdown()
     thread.join(timeout=10)
-    server.server_close()
 
 
 class TestSessionPool:

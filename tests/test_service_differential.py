@@ -1,39 +1,52 @@
-"""Differential harness: the sync and async front-ends serve identical bytes.
+"""Differential harness: the service still serves the bytes both former
+front-ends served.
 
-The async front-end (``repro/service/aserver.py``) replaces the transport
-tier only -- every matching semantic must stay byte-identical to the
-threading front-end.  This suite locks that down the strong way: one
-*request script* covering every endpoint (schemas, match, batch -- valid and
-invalid --, strategies, search, corpus, jobs with their event streams, plus
-the 404/405 error paths) is executed against a sync server and an async
-server built from the same configuration, and each step's canonical JSON
-response is sha256-hashed.  The two hash transcripts must be equal, for the
-thread *and* the process backend.
+One *request script* covers every endpoint (schemas, match, batch -- valid
+and invalid --, strategies, search, corpus, jobs with their event streams and
+a mid-run cancel, plus the 404/405 error paths).  Each step's canonical JSON
+response is sha256-hashed, and the transcript of hashes must equal the one
+checked in as ``service_golden.json``, on the thread *and* the process
+backend.  The golden file also pins the raw NDJSON lines of job event
+streams.
+
+The golden was recorded when the service still had two HTTP front-ends (a
+threaded one and the asyncio one) and the suite compared them live; both
+produced exactly these transcripts and event lines, so the remaining
+front-end is held to the bytes of both.
 
 Volatile fields that legitimately differ between two server instances
-(wall-clock uptimes/durations, worker pids, and the ``frontend`` stats block
-whose difference is the whole point) are normalised out before hashing;
-everything else -- float similarities included -- must match to the byte.
+(wall-clock uptimes/durations and worker pids) are normalised out before
+hashing; everything else -- float similarities included -- must match to the
+byte.
 """
 
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
-import threading
+import pathlib
+import time
 
 import pytest
 
 from repro.datasets.figure1 import PO1_DDL, PO2_XSD
 from repro.exceptions import ServiceError
-from repro.service import ServiceClient, create_async_server, create_server
+from repro.service import ServiceClient, create_server
+
+GOLDEN = pathlib.Path(__file__).with_name("service_golden.json")
+
+#: Pool size per backend the golden transcripts were recorded with.
+BACKENDS = {"thread": 2, "process": 1}
 
 #: Response keys that legitimately differ between two separately started
-#: servers: wall-clock readings, process ids, and the frontend stats block
-#: (which *must* differ -- that is what the differential isolates away).
-VOLATILE_KEYS = frozenset(
-    {"uptime_seconds", "duration_seconds", "pid", "workers", "frontend"}
-)
+#: servers: wall-clock readings and process ids.
+VOLATILE_KEYS = frozenset({"uptime_seconds", "duration_seconds", "pid", "workers"})
+
+#: Seconds each job chunk is stretched by, so the scripted DELETE always
+#: lands while the cancelled job is still running (a warm chunk is far
+#: faster than a request round trip on the thread backend).
+CHUNK_DELAY_SECONDS = 0.05
 
 
 def _normalise(value):
@@ -57,8 +70,8 @@ def _digest(step_result) -> str:
 def _call(client: ServiceClient, method: str, path: str, payload=None):
     """One scripted request as a canonicalisable (status, payload) pair.
 
-    Error responses are part of the differential contract too: the status,
-    message and structured details must match across front-ends.
+    Error responses are part of the transcript too: the status, message and
+    structured details are pinned like any success payload.
     """
     try:
         return ("ok", client.request(method, path, payload))
@@ -138,8 +151,8 @@ def _run_script(client: ServiceClient):
     step("job-submit-2", cancelled)
     step("job-cancel", _call(client, "DELETE", f"/jobs/{cancelled[1]['job']}"))
     terminal = client.wait_job(cancelled[1]["job"])
-    # A cancel races the chunk loop: `done` depends on how many chunks ran
-    # before the flag was seen.  The *state* is the deterministic part.
+    # How many chunks ran before the flag was seen depends on timing; the
+    # *state* is the deterministic part.
     step("job-cancelled-state", ("ok", terminal["state"]))
     step("jobs-table-states",
          ("ok", _call(client, "GET", "/jobs")[1]["by_state"]))
@@ -158,85 +171,76 @@ def _run_script(client: ServiceClient):
     return steps
 
 
-def _transcript(client: ServiceClient):
-    return [(label, _digest(result)) for label, result in _run_script(client)]
-
-
-@pytest.mark.parametrize("backend,pool_size", [("thread", 2), ("process", 1)])
-def test_front_ends_serve_sha256_identical_transcripts(backend, pool_size):
-    sync_server = create_server(
-        port=0, pool_size=pool_size, backend=backend, corpus_path=":memory:"
-    )
-    sync_thread = threading.Thread(target=sync_server.serve_forever, daemon=True)
-    sync_thread.start()
-    async_server = create_async_server(
-        port=0, pool_size=pool_size, backend=backend, corpus_path=":memory:"
-    )
-    async_thread = async_server.run_in_thread()
+def _raw_event_lines(port: int, job_id: str):
+    """The raw NDJSON lines of a job's ``/events`` stream."""
+    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
     try:
-        sync_client = ServiceClient(sync_server.url)
-        async_client = ServiceClient(async_server.url)
-        assert sync_client.health()["frontend"] == "sync"
-        assert async_client.health()["frontend"] == "async"
-
-        sync_steps = _transcript(sync_client)
-        async_steps = _transcript(async_client)
-
-        assert [label for label, _ in sync_steps] == \
-               [label for label, _ in async_steps]
-        mismatches = [
-            label
-            for (label, sync_hash), (_, async_hash)
-            in zip(sync_steps, async_steps)
-            if sync_hash != async_hash
-        ]
-        assert not mismatches, (
-            f"sync and async front-ends disagree on: {mismatches}"
-        )
+        connection.request("GET", f"/jobs/{job_id}/events")
+        response = connection.getresponse()
+        assert response.status == 200
+        assert response.getheader("Content-Type") == "application/x-ndjson"
+        return response.read().decode("utf-8").splitlines()
     finally:
-        sync_server.shutdown()
-        sync_thread.join(timeout=10)
-        sync_server.server_close()
-        async_server.request_shutdown()
-        async_thread.join(timeout=10)
+        connection.close()
+
+
+def replay(port: int, pool):
+    """Run the script against a fresh server on ``port`` whose worker pool is
+    ``pool``; returns ``(transcript, event lines of the first job)``."""
+    match_many = pool.match_many
+
+    def stretched(items):
+        time.sleep(CHUNK_DELAY_SECONDS)
+        return match_many(items)
+
+    pool.match_many = stretched
+    client = ServiceClient(f"http://127.0.0.1:{port}")
+    try:
+        transcript = [[label, _digest(result)] for label, result in _run_script(client)]
+        return transcript, _raw_event_lines(port, "j1")
+    finally:
+        client.close()
+        pool.match_many = match_many
+
+
+@pytest.mark.parametrize("backend,pool_size", list(BACKENDS.items()))
+def test_front_ends_serve_sha256_identical_transcripts(backend, pool_size):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    server = create_server(
+        port=0, pool_size=pool_size, backend=backend, corpus_path=":memory:"
+    )
+    thread = server.run_in_thread()
+    try:
+        transcript, events = replay(server.port, server.service.pool)
+    finally:
+        server.request_shutdown()
+        thread.join(timeout=10)
+    expected = golden["transcripts"][backend]
+    assert [label for label, _ in transcript] == [label for label, _ in expected]
+    mismatches = [
+        label for (label, digest), (_, want) in zip(transcript, expected)
+        if digest != want
+    ]
+    assert not mismatches, f"responses differ from the golden transcript: {mismatches}"
+    assert events == golden["event_stream"][backend]
 
 
 def test_event_stream_lines_are_byte_identical_across_front_ends():
-    """The raw NDJSON lines (not just parsed dicts) must match exactly."""
-    import http.client
-
-    def raw_event_lines(port: int) -> bytes:
-        client = ServiceClient(f"http://127.0.0.1:{port}")
+    """The raw NDJSON lines (not just parsed dicts) of a three-request job on
+    a one-worker pool must equal the lines both front-ends produced."""
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    server = create_server(port=0, pool_size=1)
+    thread = server.run_in_thread()
+    client = ServiceClient(server.url)
+    try:
         client.upload_schema(name="PO1", text=PO1_DDL, format="sql")
         client.upload_schema(name="PO2", text=PO2_XSD, format="xsd")
         job = client.submit_job(
             requests=[{"source": "PO1", "target": "PO2"}] * 3, chunk_size=2
         )
-        connection = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
-        try:
-            connection.request("GET", f"/jobs/{job['job']}/events")
-            response = connection.getresponse()
-            assert response.status == 200
-            assert response.getheader("Content-Type") == "application/x-ndjson"
-            return response.read()
-        finally:
-            connection.close()
-            client.close()
-
-    sync_server = create_server(port=0, pool_size=1)
-    sync_thread = threading.Thread(target=sync_server.serve_forever, daemon=True)
-    sync_thread.start()
-    async_server = create_async_server(port=0, pool_size=1)
-    async_thread = async_server.run_in_thread()
-    try:
-        sync_bytes = raw_event_lines(sync_server.server_address[1])
-        async_bytes = raw_event_lines(async_server.port)
-        assert sync_bytes == async_bytes
-        assert hashlib.sha256(sync_bytes).hexdigest() == \
-               hashlib.sha256(async_bytes).hexdigest()
+        lines = _raw_event_lines(server.port, job["job"])
     finally:
-        sync_server.shutdown()
-        sync_thread.join(timeout=10)
-        sync_server.server_close()
-        async_server.request_shutdown()
-        async_thread.join(timeout=10)
+        client.close()
+        server.request_shutdown()
+        thread.join(timeout=10)
+    assert lines == golden["small_job_event_stream"]

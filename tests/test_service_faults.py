@@ -1,7 +1,7 @@
-"""Fault injection against the async front-end: misbehaving clients and load.
+"""Fault injection against the HTTP front-end: misbehaving clients and load.
 
-The differential suite proves the happy paths are byte-identical; this suite
-proves the async front-end *fails* the way it promises to:
+The golden-transcript suite pins the happy paths byte for byte; this suite
+proves the front-end *fails* the way it promises to:
 
 * a slow-loris client (drip-feeding a request head or body forever) is
   answered 408 and dropped within the read timeout, never pinning the loop;
@@ -30,12 +30,12 @@ import pytest
 
 from repro.datasets.figure1 import PO1_DDL, PO2_XSD
 from repro.exceptions import ServiceError
-from repro.service import ServiceClient, SessionPool, create_async_server
+from repro.service import ServiceClient, SessionPool, create_server
 from repro.service.server import MAX_BODY_BYTES
 
 
 def _start(read_timeout=30.0, max_queue=64, **service_kwargs):
-    server = create_async_server(
+    server = create_server(
         port=0, read_timeout=read_timeout, max_queue=max_queue, **service_kwargs
     )
     thread = server.run_in_thread()

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import threading
-
 import pytest
 
 from repro.datasets.figure1 import PO1_DDL, PO2_XSD, load_po1, load_po2
@@ -16,15 +14,13 @@ from repro.session import MatchSession
 def process_client():
     """A running process-backend server (two workers) + client."""
     server = create_server(port=0, pool_size=2, backend="process")
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    thread = server.run_in_thread()
     client = ServiceClient(server.url)
     client.upload_schema(name="PO1", text=PO1_DDL, format="sql")
     client.upload_schema(name="PO2", text=PO2_XSD, format="xsd")
     yield client
     client.shutdown()
     thread.join(timeout=10)
-    server.server_close()
 
 
 def _expected_rows(source, target, strategy=None):

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from repro.datasets.figure1 import load_po1, load_po2
 from repro.datasets.gold_standard import load_all_tasks
+from repro.engine.engine import PAIRWISE_REFERENCE_ENGINE
 from repro.repository.store import (
     SimilarityStore,
     cube_store_key,
@@ -26,6 +30,20 @@ def outcome_rows(outcome):
         (c.source.dotted(), c.target.dotted(), c.similarity)
         for c in outcome.result.correspondences
     ]
+
+
+def result_sha256(outcome) -> str:
+    """The digest of the outcome's mapping, sensitive to every float bit."""
+    document = {
+        "strategy": outcome.strategy.to_spec(),
+        "schema_similarity": float(outcome.schema_similarity).hex(),
+        "rows": [
+            [source, target, float(similarity).hex()]
+            for source, target, similarity in outcome.result.as_tuples()
+        ],
+    }
+    text = json.dumps(document, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @pytest.fixture()
@@ -98,7 +116,7 @@ class TestStoreRoundTrip:
         digest_s = schema_content_digest(source)
         digest_t = schema_content_digest(target)
         usage = outcome.cube.matcher_names
-        key = cube_store_key(digest_s, digest_t, usage, "config")
+        key = cube_store_key(digest_s, digest_t, usage, "config", "float64")
         with SimilarityStore(store_path, writer=False) as store:
             store.store_cube(key, outcome.cube, digest_s, digest_t, usage, "config")
             loaded = store.load_cube(key, source.paths(), target.paths())
@@ -696,6 +714,19 @@ class TestSessionDtypePlumbing:
 
         with pytest.raises(SessionError):
             MatchSession(store_dtype="float16")
+
+    def test_float64_reader_is_never_served_a_lossy_cube(self, store_path):
+        """A uint16 writer and a float64 reader share one store file."""
+        source, target = load_po1(), load_po2()
+        with MatchSession(store=store_path, store_dtype="uint16") as writer:
+            writer.match(source, target)
+        with MatchSession(store=store_path) as reader:
+            warm = reader.match(source, target)
+            store_hits = reader.cache_info()["store_hits"]
+        with MatchSession(engine=PAIRWISE_REFERENCE_ENGINE, cache_cubes=False) as cold:
+            reference = cold.match(source, target)
+        assert result_sha256(warm) == result_sha256(reference)
+        assert store_hits == 0
 
     def test_warm_uint16_session_is_within_tolerance(self, store_path):
         source, target = load_po1(), load_po2()
