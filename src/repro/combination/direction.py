@@ -19,10 +19,12 @@ of selected ``(source path, target path, similarity)`` triples.
 from __future__ import annotations
 
 import abc
-from typing import List, Set, Tuple
+from typing import List, Tuple
+
+import numpy as np
 
 from repro.exceptions import CombinationError
-from repro.combination.matrix import SimilarityMatrix
+from repro.combination.matrix import NameRanks, SimilarityMatrix
 from repro.combination.selection import SelectionStrategy
 from repro.model.path import SchemaPath
 
@@ -30,45 +32,70 @@ from repro.model.path import SchemaPath
 SelectedPair = Tuple[SchemaPath, SchemaPath, float]
 
 
-def _select_source_to_target(
-    matrix: SimilarityMatrix, selection: SelectionStrategy
-) -> Set[SelectedPair]:
+def _select_per_source(
+    values: np.ndarray, selection: SelectionStrategy, target_ranks: np.ndarray
+) -> np.ndarray:
     """For each source (row) element, select candidates among the targets."""
-    pairs: Set[SelectedPair] = set()
-    for source in matrix.source_paths:
-        ranked = matrix.ranked_targets(source)
-        for target, similarity in selection.select(ranked):
-            pairs.add((source, target, similarity))
-    return pairs
+    return selection.mask(values, target_ranks)
 
 
-def _select_target_to_source(
-    matrix: SimilarityMatrix, selection: SelectionStrategy
-) -> Set[SelectedPair]:
+def _select_per_target(
+    values: np.ndarray, selection: SelectionStrategy, source_ranks: np.ndarray
+) -> np.ndarray:
     """For each target (column) element, select candidates among the sources."""
-    pairs: Set[SelectedPair] = set()
-    for target in matrix.target_paths:
-        ranked = matrix.ranked_sources(target)
-        for source, similarity in selection.select(ranked):
-            pairs.add((source, target, similarity))
-    return pairs
+    return selection.mask(values.T, source_ranks).T
 
 
 class DirectionStrategy(abc.ABC):
-    """Base class for match direction strategies."""
+    """Base class for match direction strategies.
+
+    A direction combines row-wise and column-wise selection masks
+    (:meth:`mask`); :meth:`select_indices` orders the selected cells by
+    ``(source names, target names)`` and :meth:`select_pairs` turns them into
+    path triples.  A strategy that is not mask-based (stable marriage)
+    overrides :meth:`select_pairs` instead.
+    """
 
     name: str = "direction"
 
-    @abc.abstractmethod
+    def mask(
+        self,
+        values: np.ndarray,
+        selection: SelectionStrategy,
+        source_ranks: np.ndarray,
+        target_ranks: np.ndarray,
+    ) -> np.ndarray:
+        """The ``m x n`` mask of the selected cells (ties: strict name ranks)."""
+        raise NotImplementedError(f"{type(self).__name__} does not select by mask")
+
+    def select_indices(
+        self,
+        values: np.ndarray,
+        selection: SelectionStrategy,
+        source_ranks: NameRanks,
+        target_ranks: NameRanks,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Row and column indices of the selected cells, in output order."""
+        keep = self.mask(values, selection, source_ranks.strict, target_ranks.strict)
+        rows, columns = np.nonzero(keep)
+        order = np.lexsort((target_ranks.dense[columns], source_ranks.dense[rows]))
+        return rows[order], columns[order]
+
     def select_pairs(
         self, matrix: SimilarityMatrix, selection: SelectionStrategy
     ) -> List[SelectedPair]:
         """Apply ``selection`` in the configured direction(s) over ``matrix``."""
-
-    @staticmethod
-    def _source_is_larger(matrix: SimilarityMatrix) -> bool:
-        rows, columns = matrix.shape
-        return rows >= columns
+        values = matrix.values
+        rows, columns = self.select_indices(
+            values, selection, matrix.source_ranks, matrix.target_ranks
+        )
+        sources, targets = matrix.source_paths, matrix.target_paths
+        return [
+            (sources[i], targets[j], similarity)
+            for i, j, similarity in zip(
+                rows.tolist(), columns.tolist(), values[rows, columns].tolist()
+            )
+        ]
 
     def __call__(
         self, matrix: SimilarityMatrix, selection: SelectionStrategy
@@ -87,26 +114,19 @@ class DirectionStrategy(abc.ABC):
     def __hash__(self) -> int:
         return hash(str(self))
 
-    @staticmethod
-    def _sorted(pairs: Set[SelectedPair]) -> List[SelectedPair]:
-        return sorted(pairs, key=lambda p: (p[0].names, p[1].names))
-
 
 class LargeSmall(DirectionStrategy):
     """Rank and select elements of the larger schema for each smaller-schema element."""
 
     name = "LargeSmall"
 
-    def select_pairs(
-        self, matrix: SimilarityMatrix, selection: SelectionStrategy
-    ) -> List[SelectedPair]:
-        if self._source_is_larger(matrix):
+    def mask(self, values, selection, source_ranks, target_ranks) -> np.ndarray:
+        rows, columns = values.shape
+        if rows >= columns:
             # S1 (rows) is larger: select S1 candidates for each S2 element.
-            pairs = _select_target_to_source(matrix, selection)
-        else:
-            # S2 (columns) is larger: select S2 candidates for each S1 element.
-            pairs = _select_source_to_target(matrix, selection)
-        return self._sorted(pairs)
+            return _select_per_target(values, selection, source_ranks)
+        # S2 (columns) is larger: select S2 candidates for each S1 element.
+        return _select_per_source(values, selection, target_ranks)
 
 
 class SmallLarge(DirectionStrategy):
@@ -114,14 +134,11 @@ class SmallLarge(DirectionStrategy):
 
     name = "SmallLarge"
 
-    def select_pairs(
-        self, matrix: SimilarityMatrix, selection: SelectionStrategy
-    ) -> List[SelectedPair]:
-        if self._source_is_larger(matrix):
-            pairs = _select_source_to_target(matrix, selection)
-        else:
-            pairs = _select_target_to_source(matrix, selection)
-        return self._sorted(pairs)
+    def mask(self, values, selection, source_ranks, target_ranks) -> np.ndarray:
+        rows, columns = values.shape
+        if rows >= columns:
+            return _select_per_source(values, selection, target_ranks)
+        return _select_per_target(values, selection, source_ranks)
 
 
 class Both(DirectionStrategy):
@@ -129,12 +146,10 @@ class Both(DirectionStrategy):
 
     name = "Both"
 
-    def select_pairs(
-        self, matrix: SimilarityMatrix, selection: SelectionStrategy
-    ) -> List[SelectedPair]:
-        forward = _select_source_to_target(matrix, selection)
-        backward = _select_target_to_source(matrix, selection)
-        return self._sorted(forward & backward)
+    def mask(self, values, selection, source_ranks, target_ranks) -> np.ndarray:
+        forward = _select_per_source(values, selection, target_ranks)
+        backward = _select_per_target(values, selection, source_ranks)
+        return forward & backward
 
 
 #: Canonical instances.

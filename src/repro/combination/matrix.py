@@ -4,16 +4,54 @@ Every matcher produces an ``m x n`` matrix of similarity values, with rows
 indexed by the source (S1) paths and columns by the target (S2) paths.  The
 matrix is numpy-backed, but exposes path-aware accessors so that the rest of
 the system never has to juggle integer indices.
+
+Ranking and selection break ties by path name.  Instead of comparing name
+tuples per call, each axis carries integer :class:`NameRanks` (computed once,
+on first use), so the selection kernel can tie-break with ``lexsort`` and
+``argmax`` over plain integer arrays.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import CombinationError
 from repro.model.path import SchemaPath
+
+
+class NameRanks(NamedTuple):
+    """Integer ranks of one path axis by name tuple.
+
+    ``strict`` orders by names and then by axis position, so every path has
+    its own rank: the order a stable sort on ``names`` yields, used to break
+    ties within a row or column.  ``dense`` gives equal name tuples one shared
+    rank and orders the selected pairs by ``(source names, target names)``;
+    pairs whose names tie on both sides keep their row-major position order.
+    """
+
+    strict: np.ndarray
+    dense: np.ndarray
+
+    def take(self, indices: Sequence[int]) -> "NameRanks":
+        """The ranks of a subset of the axis (their relative order is kept)."""
+        return NameRanks(self.strict[indices], self.dense[indices])
+
+
+def name_ranks(paths: Sequence[SchemaPath]) -> NameRanks:
+    """The strict and dense name ranks of ``paths``."""
+    order = sorted(range(len(paths)), key=lambda i: paths[i].names)
+    strict = np.empty(len(paths), dtype=np.intp)
+    strict[order] = np.arange(len(paths))
+    dense = np.empty(len(paths), dtype=np.intp)
+    rank, previous = -1, None
+    for i in order:
+        names = paths[i].names
+        if names != previous:
+            rank, previous = rank + 1, names
+        dense[i] = rank
+    return NameRanks(strict, dense)
 
 
 class SimilarityMatrix:
@@ -45,6 +83,8 @@ class SimilarityMatrix:
         self._target_index: Dict[SchemaPath, int] = {
             path: j for j, path in enumerate(self._target_paths)
         }
+        self._source_ranks: Optional[NameRanks] = None
+        self._target_ranks: Optional[NameRanks] = None
 
     # -- construction helpers ---------------------------------------------------
 
@@ -107,6 +147,20 @@ class SimilarityMatrix:
         return self._target_paths
 
     @property
+    def source_ranks(self) -> NameRanks:
+        """Name ranks of the row axis (computed on first use)."""
+        if self._source_ranks is None:
+            self._source_ranks = name_ranks(self._source_paths)
+        return self._source_ranks
+
+    @property
+    def target_ranks(self) -> NameRanks:
+        """Name ranks of the column axis (computed on first use)."""
+        if self._target_ranks is None:
+            self._target_ranks = name_ranks(self._target_paths)
+        return self._target_ranks
+
+    @property
     def shape(self) -> Tuple[int, int]:
         """The ``(rows, columns)`` shape."""
         return self._values.shape  # type: ignore[return-value]
@@ -162,19 +216,12 @@ class SimilarityMatrix:
     def ranked_targets(self, source: SchemaPath) -> List[Tuple[SchemaPath, float]]:
         """Targets ranked by descending similarity to ``source`` (ties: path order)."""
         row = self._values[self._source_index[source], :]
-        order = sorted(
-            range(len(self._target_paths)), key=lambda j: (-row[j], self._target_paths[j].names)
-        )
-        return [(self._target_paths[j], float(row[j])) for j in order]
+        return _ranked(self._target_paths, row, self.target_ranks)
 
     def ranked_sources(self, target: SchemaPath) -> List[Tuple[SchemaPath, float]]:
         """Sources ranked by descending similarity to ``target`` (ties: path order)."""
         column = self._values[:, self._target_index[target]]
-        order = sorted(
-            range(len(self._source_paths)),
-            key=lambda i: (-column[i], self._source_paths[i].names),
-        )
-        return [(self._source_paths[i], float(column[i])) for i in order]
+        return _ranked(self._source_paths, column, self.source_ranks)
 
     def max_similarity(self) -> float:
         """The maximum similarity anywhere in the matrix."""
@@ -192,3 +239,10 @@ class SimilarityMatrix:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimilarityMatrix(shape={self.shape})"
+
+
+def _ranked(
+    paths: Tuple[SchemaPath, ...], similarities: np.ndarray, ranks: NameRanks
+) -> List[Tuple[SchemaPath, float]]:
+    order = np.lexsort((ranks.strict, -similarities))
+    return list(zip([paths[k] for k in order.tolist()], similarities[order].tolist()))

@@ -16,12 +16,20 @@ them to keep:
 Candidates with similarity ``0`` are never selected: a zero similarity means
 "strong dissimilarity" (Section 3) and must not become a match candidate just
 because a row of the matrix happens to be all zeros.
+
+Every strategy is one array operation, :meth:`SelectionStrategy.mask`: it
+selects row-wise over a whole ``m x n`` array at once, ranking each row's
+candidates by descending similarity and breaking ties by an integer rank per
+column (the name ranks of :class:`~repro.combination.matrix.NameRanks`).  The
+per-list :meth:`SelectionStrategy.select` is the same mask on a one-row array.
 """
 
 from __future__ import annotations
 
 import abc
 from typing import List, Sequence, Tuple
+
+import numpy as np
 
 from repro.exceptions import CombinationError
 from repro.model.path import SchemaPath
@@ -36,12 +44,21 @@ class SelectionStrategy(abc.ABC):
     name: str = "selection"
 
     @abc.abstractmethod
+    def mask(self, values: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+        """The boolean ``m x n`` mask of the candidates selected in each row.
+
+        Each row ranks its columns by descending value; ``ranks`` (one integer
+        per column, all distinct) orders equal values, lowest rank first.
+        Non-positive values are never selected.
+        """
+
     def select(self, ranked: Sequence[RankedCandidate]) -> List[RankedCandidate]:
         """Choose match candidates from a descending-ranked candidate list."""
-
-    @staticmethod
-    def _positive(ranked: Sequence[RankedCandidate]) -> List[RankedCandidate]:
-        return [(path, sim) for path, sim in ranked if sim > 0.0]
+        if not ranked:
+            return []
+        values = np.array([[similarity for _, similarity in ranked]], dtype=float)
+        keep = self.mask(values, np.arange(len(ranked)))[0]
+        return [ranked[k] for k in np.flatnonzero(keep).tolist()]
 
     def __call__(self, ranked: Sequence[RankedCandidate]) -> List[RankedCandidate]:
         return self.select(ranked)
@@ -75,8 +92,21 @@ class MaxN(SelectionStrategy):
         self.n = int(n)
         self.name = f"MaxN({self.n})"
 
-    def select(self, ranked: Sequence[RankedCandidate]) -> List[RankedCandidate]:
-        return self._positive(ranked)[: self.n]
+    def mask(self, values: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+        keep = np.zeros(values.shape, dtype=bool)
+        if self.n == 1:
+            # argmax returns the first maximum: with the columns permuted
+            # into rank order, that is the lowest-ranked of tied candidates.
+            by_rank = np.argsort(ranks)
+            rows = np.arange(len(values))
+            best = by_rank[values[:, by_rank].argmax(axis=1)]
+            keep[rows, best] = values[rows, best] > 0.0
+            return keep
+        if self.n >= values.shape[1]:
+            return values > 0.0
+        order = np.lexsort((np.broadcast_to(ranks, values.shape), -values))
+        np.put_along_axis(keep, order[:, : self.n], True, axis=1)
+        return keep & (values > 0.0)
 
 
 class MaxDelta(SelectionStrategy):
@@ -95,14 +125,10 @@ class MaxDelta(SelectionStrategy):
         kind = "rel" if self.relative else "abs"
         self.name = f"Delta({self.delta:g},{kind})"
 
-    def select(self, ranked: Sequence[RankedCandidate]) -> List[RankedCandidate]:
-        positive = self._positive(ranked)
-        if not positive:
-            return []
-        best = positive[0][1]
+    def mask(self, values: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+        best = values.max(axis=1, keepdims=True)
         tolerance = best * self.delta if self.relative else self.delta
-        floor = best - tolerance
-        return [(path, sim) for path, sim in positive if sim >= floor]
+        return (values > 0.0) & (values >= best - tolerance)
 
 
 class Threshold(SelectionStrategy):
@@ -114,8 +140,8 @@ class Threshold(SelectionStrategy):
         self.threshold = float(threshold)
         self.name = f"Thr({self.threshold:g})"
 
-    def select(self, ranked: Sequence[RankedCandidate]) -> List[RankedCandidate]:
-        return [(path, sim) for path, sim in self._positive(ranked) if sim >= self.threshold]
+    def mask(self, values: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+        return (values > 0.0) & (values >= self.threshold)
 
 
 class CombinedSelection(SelectionStrategy):
@@ -137,12 +163,8 @@ class CombinedSelection(SelectionStrategy):
         self.strategies: Tuple[SelectionStrategy, ...] = tuple(flattened)
         self.name = "+".join(str(s) for s in self.strategies)
 
-    def select(self, ranked: Sequence[RankedCandidate]) -> List[RankedCandidate]:
-        accepted_sets = []
-        for strategy in self.strategies:
-            accepted_sets.append({path for path, _ in strategy.select(ranked)})
-        common = set.intersection(*accepted_sets) if accepted_sets else set()
-        return [(path, sim) for path, sim in self._positive(ranked) if path in common]
+    def mask(self, values: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+        return np.logical_and.reduce([s.mask(values, ranks) for s in self.strategies])
 
 
 #: The paper's default selection: Threshold(0.5) combined with Delta(0.02).

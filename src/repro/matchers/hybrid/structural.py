@@ -17,7 +17,7 @@ pairs (a leaf against an inner element) treat the leaf as a singleton set.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,12 +26,16 @@ from repro.combination.combined import (
     CombinedSimilarityStrategy,
 )
 from repro.combination.direction import BOTH, Both, DirectionStrategy
-from repro.combination.matrix import SimilarityMatrix
+from repro.combination.matrix import NameRanks, SimilarityMatrix
 from repro.combination.selection import MaxN, SelectionStrategy
 from repro.matchers.base import MatchContext, Matcher
 from repro.matchers.hybrid.type_name import TypeNameMatcher
 from repro.model.path import SchemaPath
 from repro.model.schema import Schema
+
+
+#: A component set and the positions of its paths in the leaf matrix.
+_Components = Tuple[Tuple[SchemaPath, ...], List[int]]
 
 
 class _StructuralMatcherBase(Matcher):
@@ -136,18 +140,27 @@ class _StructuralMatcherBase(Matcher):
         leaf_row = {path: i for i, path in enumerate(leaf_matrix.source_paths)}
         leaf_column = {path: j for j, path in enumerate(leaf_matrix.target_paths)}
         leaf_values = leaf_matrix.values
+        # Name ranks over the full path sets: a component set's ranks are a
+        # slice of these, so set selection tie-breaks without name tuples.
+        source_ranks = leaf_matrix.source_ranks
+        target_ranks = leaf_matrix.target_ranks
 
         # Component sets are derived from the schema graph alone, so they are
-        # memoised per path (leaf_paths_under / child_paths scan the schema).
-        source_components: Dict[SchemaPath, Tuple[SchemaPath, ...]] = {}
-        target_components: Dict[SchemaPath, Tuple[SchemaPath, ...]] = {}
+        # memoised per path (leaf_paths_under / child_paths scan the schema),
+        # together with their positions in the leaf matrix.
+        source_components: Dict[SchemaPath, _Components] = {}
+        target_components: Dict[SchemaPath, _Components] = {}
 
         def components_of(
-            schema: Schema, path: SchemaPath, cache: Dict[SchemaPath, Tuple[SchemaPath, ...]]
-        ) -> Tuple[SchemaPath, ...]:
+            schema: Schema,
+            path: SchemaPath,
+            cache: Dict[SchemaPath, _Components],
+            index: Dict[SchemaPath, int],
+        ) -> _Components:
             components = cache.get(path)
             if components is None:
-                components = self._component_paths(schema, path)
+                paths = self._component_paths(schema, path)
+                components = (paths, [index[component] for component in paths])
                 cache[path] = components
             return components
 
@@ -162,18 +175,25 @@ class _StructuralMatcherBase(Matcher):
             if source_row is not None and target_col is not None:
                 value = float(leaf_values[source_row, target_col])
             else:
-                source_set = (
-                    (source,)
+                source_set, source_index = (
+                    ((source,), [source_row])
                     if source_row is not None
-                    else components_of(source_schema, source, source_components)
+                    else components_of(source_schema, source, source_components, leaf_row)
                 )
-                target_set = (
-                    (target,)
+                target_set, target_index = (
+                    ((target,), [target_col])
                     if target_col is not None
-                    else components_of(target_schema, target, target_components)
+                    else components_of(target_schema, target, target_components, leaf_column)
                 )
                 value = self._set_similarity(
-                    source_set, target_set, pair_similarity, leaf_values, leaf_row, leaf_column
+                    source_set,
+                    target_set,
+                    source_index,
+                    target_index,
+                    pair_similarity,
+                    leaf_values,
+                    source_ranks,
+                    target_ranks,
                 )
             memo[key] = value
             return value
@@ -203,11 +223,14 @@ class _StructuralMatcherBase(Matcher):
         self,
         source_set: Sequence[SchemaPath],
         target_set: Sequence[SchemaPath],
+        source_index: List[int],
+        target_index: List[int],
         recursive_similarity,
         leaf_values: np.ndarray,
-        leaf_row: Dict[SchemaPath, int],
-        leaf_column: Dict[SchemaPath, int],
+        source_ranks: NameRanks,
+        target_ranks: NameRanks,
     ) -> float:
+        """Combined similarity of two component sets (``*_index``: leaf-matrix positions)."""
         if not source_set or not target_set:
             return 0.0
         if self._recursive():
@@ -216,54 +239,47 @@ class _StructuralMatcherBase(Matcher):
                 for j, target in enumerate(target_set):
                     component_values[i, j] = recursive_similarity(source, target)
         else:
-            component_values = leaf_values[
-                np.ix_(
-                    [leaf_row[path] for path in source_set],
-                    [leaf_column[path] for path in target_set],
-                )
-            ]
-        fast = self._singleton_selection(source_set, target_set, component_values)
-        if fast is not None:
-            selected = fast
-        else:
-            component_matrix = SimilarityMatrix(source_set, target_set, component_values)
-            selected = self._direction.select_pairs(component_matrix, self._selection)
+            component_values = leaf_values[np.ix_(source_index, target_index)]
+        # Component positions stand in for the paths: combining only counts
+        # and sums the selected pairs per element.
+        selected = self._singleton_selection(component_values)
+        if selected is None:
+            rows, columns = self._direction.select_indices(
+                component_values,
+                self._selection,
+                source_ranks.take(source_index),
+                target_ranks.take(target_index),
+            )
+            selected = list(
+                zip(rows.tolist(), columns.tolist(), component_values[rows, columns].tolist())
+            )
         return self._combined.combine(selected, len(source_set), len(target_set))
 
     def _singleton_selection(
-        self,
-        source_set: Sequence[SchemaPath],
-        target_set: Sequence[SchemaPath],
-        component_values: np.ndarray,
-    ):
-        """Exact shortcut for the default Both + Max1 selection on singleton sets.
+        self, component_values: np.ndarray
+    ) -> Optional[List[Tuple[int, int, float]]]:
+        """Shortcut for the default Both + Max1 selection on singleton sets.
 
         A leaf compared against a component set yields a ``1 x k`` (or
         ``k x 1``) matrix; under undirectional Max1 the intersection of both
-        directions is exactly the single best pair -- with ties broken by path
-        name order, as :meth:`SimilarityMatrix.ranked_targets` does.  Any other
-        direction / selection configuration falls through to the generic
-        strategy machinery (returns ``None``).
+        directions is exactly one best pair.  Which of several tied best
+        candidates it is cannot change the combined similarity (one matched
+        element per side, the same value), so the first one is taken.  The
+        shortcut exists because these cells outnumber the set-against-set
+        ones and the kernel's fixed numpy overhead would dominate them.  Any
+        other configuration returns ``None``.
         """
         if not isinstance(self._direction, Both) or not isinstance(self._selection, MaxN):
             return None
-        if self._selection.n != 1 or (len(source_set) > 1 and len(target_set) > 1):
+        rows, columns = component_values.shape
+        if self._selection.n != 1 or (rows > 1 and columns > 1):
             return None
-        if len(source_set) == 1:
-            row = component_values[0]
-            best = min(
-                range(len(target_set)), key=lambda j: (-row[j], target_set[j].names)
-            )
-            value = float(row[best])
-            if value <= 0.0:
-                return []
-            return [(source_set[0], target_set[best], value)]
-        column = component_values[:, 0]
-        best = min(range(len(source_set)), key=lambda i: (-column[i], source_set[i].names))
-        value = float(column[best])
-        if value <= 0.0:
+        candidates = component_values.ravel().tolist()
+        best = max(candidates)
+        if best <= 0.0:
             return []
-        return [(source_set[best], target_set[0], value)]
+        position = candidates.index(best)
+        return [(0, position, best) if rows == 1 else (position, 0, best)]
 
 
 class ChildrenMatcher(_StructuralMatcherBase):
