@@ -255,8 +255,9 @@ class EditDistanceMatcher(StringMatcher):
     The batch entry point (:meth:`similarity_many`) folds case once per
     unique input string, deduplicates the folded strings, serves known pairs
     from the process-wide kernel memo pool and pushes only the remaining
-    distinct pairs through the vectorized batch DP
-    (:func:`levenshtein_distance_many`).
+    distinct pairs through :func:`levenshtein_distance_many`, which sends
+    every pair whose shorter string has at most 512 code points to the
+    Myers bit-parallel kernel.
     """
 
     name = "EditDistance"
@@ -321,7 +322,11 @@ class EditDistanceMatcher(StringMatcher):
 
     @staticmethod
     def _batch_kernel(pairs: Sequence[Tuple[str, str]]) -> np.ndarray:
-        """Similarities of (already case-folded) string pairs via the batch DP."""
+        """Similarities of (already case-folded) pairs via the Myers kernel.
+
+        The pairs go through :func:`levenshtein_distance_many`, whose
+        bit-parallel ladder covers every pattern of up to 512 code points.
+        """
         values = np.zeros(len(pairs), dtype=float)
         lively: List[int] = []
         for index, (a, b) in enumerate(pairs):

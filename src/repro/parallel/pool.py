@@ -138,16 +138,6 @@ class ProcessSessionPool:
         The multiprocessing start method (default ``"spawn"``, the only one
         safe from threaded parents; ``"fork"``/``"forkserver"`` are accepted
         where the platform offers them).
-    store_dtype:
-        The storage dtype workers write cubes to the shared store with
-        (``"float64"`` default, ``"float32"``, ``"uint16"`` -- see the
-        :class:`~repro.repository.store.SimilarityStore` dtype contract).
-    wire_dtype:
-        The dtype cube stacks travel back over the pipe with (same choices).
-        The default ``"float64"`` keeps results byte-identical to the serial
-        path; the compact dtypes shrink the dominant reply buffer at the
-        store contract's tested tolerance (correspondence similarities and
-        the aggregated matrix always stay exact ``float64``).
 
     Raises
     ------
@@ -175,28 +165,17 @@ class ProcessSessionPool:
         default_strategy: Optional[str] = None,
         start_method: str = "spawn",
         schema_cache_bound: Optional[int] = None,
-        store_dtype: Optional[str] = None,
-        wire_dtype: Optional[str] = None,
         fault_plan: Optional[Dict[str, object]] = None,
         breaker_threshold: int = BREAKER_THRESHOLD,
     ):
         if size < 1:
             raise ServiceError(f"a process pool needs size >= 1, got {size}")
-        from repro.repository.store import CUBE_DTYPES
-
-        for label, value in (("store_dtype", store_dtype), ("wire_dtype", wire_dtype)):
-            if value is not None and value not in CUBE_DTYPES:
-                raise ServiceError(
-                    f"unknown {label} {value!r}, expected one of {CUBE_DTYPES}"
-                )
         self._context = multiprocessing.get_context(start_method)
         self._options: Dict[str, object] = {
             "store_path": store_path,
             "repository_path": repository_path,
             "default_strategy": default_strategy,
             "schema_cache_bound": schema_cache_bound,
-            "store_dtype": store_dtype,
-            "wire_dtype": wire_dtype,
             # An explicit plan document, or None: _spawn() then ships the
             # plan armed in this process, so workers (and respawns) always
             # run under the same fault model as their parent.

@@ -7,15 +7,9 @@ match tasks start from work already done.  The in-process session caches
 restarts.  A :class:`SimilarityStore` is a small SQLite database holding
 
 * **similarity cubes** -- the matcher-specific ``k x m x n`` layers of a match
-  execution, stored under an explicit **layer-dtype contract**: ``float64``
-  (the default) keeps a reloaded cube bit-identical to the computed one
-  (mappings derived from it are therefore byte-identical to the uncached
-  path), while ``float32`` and quantized ``uint16`` (similarities live in
-  ``[0, 1]``; scale :data:`UINT16_SCALE`, maximum absolute round-trip error
-  :data:`UINT16_MAX_ERROR`) trade that byte-identity for 2x / 4x smaller
-  blobs.  Every blob carries a versioned header recording its dtype, and the
-  dtype is part of each cube's content address, so cubes of different dtypes
-  share one store file without ever being served in place of each other;
+  execution, stored as raw ``float64`` bytes behind a checksummed ``CBH3``
+  header, so a reloaded cube is bit-identical to the computed one (mappings
+  derived from it are therefore byte-identical to the uncached path);
 * **token artifacts** -- the name -> token-list memo feeding
   :class:`~repro.engine.profiles.PathSetProfile`, so a fresh process skips
   re-tokenizing names it has seen in any earlier run.
@@ -29,8 +23,8 @@ whatever its tier -- can be mutated in place by downstream code.
 
 Everything is **content-addressed**: cube keys are SHA-256 digests of
 ``(source schema content, target schema content, matcher usage, linguistic
-configuration, storage dtype)`` and token rows are keyed by the tokenizer
-configuration digest.  There is no invalidation protocol -- changing a schema, the matcher
+configuration)`` and token rows are keyed by the tokenizer configuration
+digest.  There is no invalidation protocol -- changing a schema, the matcher
 usage, the synonym dictionary, the abbreviation table or the
 type-compatibility table changes the digest, and the store simply misses.
 Stale reads are impossible by construction.
@@ -73,39 +67,20 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Bump when the stored representation changes; part of every digest, so old
 #: stores age out instead of being misread.  Version 2 introduced the
-#: per-blob dtype header and the external (mmap) blob tier.
+#: per-blob header and the external (mmap) blob tier.
 STORE_FORMAT_VERSION = 2
-
-#: The cube storage dtypes a store accepts, smallest-loss first.
-CUBE_DTYPES = ("float64", "float32", "uint16")
-
-#: Quantization scale of the ``uint16`` tier (similarities live in [0, 1]).
-UINT16_SCALE = 65535
-
-#: Maximum absolute error of a ``uint16`` round trip: half a quantization
-#: step, ``1 / 131070`` (~7.63e-6) -- comfortably inside the 1e-4 tolerance
-#: the compact tiers are tested against.
-UINT16_MAX_ERROR = 1.0 / (2 * UINT16_SCALE)
 
 #: Inline blobs at or above this many payload bytes move to the mmap-backed
 #: side-file tier (1 MiB by default).
 DEFAULT_MMAP_THRESHOLD = 1 << 20
 
-#: Versioned per-blob header: magic, dtype code, storage flag, 2 spare bytes,
-#: crc32 of the payload (the inline bytes after the header, or the side
-#: file's full contents).  ``CBH3`` added the checksum; legacy ``CBH2`` blobs
-#: remain readable -- they simply skip verification.
+#: Versioned per-blob header: magic, dtype byte (always 0, float64), storage
+#: flag, 2 spare bytes, crc32 of the payload (the inline bytes after the
+#: header, or the side file's full contents).  Any other magic or dtype byte
+#: is corruption: the row is quarantined and recomputed.
 _BLOB_HEADER = struct.Struct(">4sBB2xI")
 _BLOB_MAGIC = b"CBH3"
-_LEGACY_HEADER = struct.Struct(">4sBB2x")
-_LEGACY_MAGIC = b"CBH2"
-_DTYPE_CODES = {"float64": 0, "float32": 1, "uint16": 2}
-_CODE_DTYPES = {code: name for name, code in _DTYPE_CODES.items()}
-_NUMPY_DTYPES = {
-    "float64": np.dtype(np.float64),
-    "float32": np.dtype(np.float32),
-    "uint16": np.dtype(np.uint16),
-}
+_FLOAT64_CODE = 0
 _STORAGE_INLINE = 0
 _STORAGE_EXTERNAL = 1
 
@@ -133,7 +108,6 @@ CREATE TABLE IF NOT EXISTS cubes (
     matcher_names  TEXT NOT NULL,
     shape          TEXT NOT NULL,
     data           BLOB NOT NULL,
-    dtype          TEXT NOT NULL DEFAULT 'float64',
     payload_bytes  INTEGER NOT NULL DEFAULT 0,
     external       INTEGER NOT NULL DEFAULT 0,
     created_at     REAL NOT NULL DEFAULT (julianday('now'))
@@ -156,46 +130,23 @@ CREATE TABLE IF NOT EXISTS subtrees (
 );
 """
 
-def encode_stack(stack: np.ndarray, dtype: str) -> bytes:
-    """Encode a float64 cube stack into the given storage dtype's payload.
-
-    ``float64`` is a raw byte copy (bit-identical round trip); ``float32``
-    rounds to single precision; ``uint16`` quantizes ``[0, 1]`` similarities
-    to ``round(value * UINT16_SCALE)`` (values are clipped into the unit
-    interval first, so out-of-range cells saturate instead of wrapping).
-    """
-    array = np.ascontiguousarray(stack, dtype=np.float64)
-    if dtype == "float64":
-        return array.tobytes()
-    if dtype == "float32":
-        return array.astype(np.float32).tobytes()
-    if dtype == "uint16":
-        clipped = np.clip(array, 0.0, 1.0)
-        return np.round(clipped * UINT16_SCALE).astype(np.uint16).tobytes()
-    raise RepositoryError(f"unknown cube dtype {dtype!r}, expected one of {CUBE_DTYPES}")
+def encode_stack(stack: np.ndarray) -> bytes:
+    """Encode a cube stack as its raw C-order ``float64`` bytes."""
+    return np.ascontiguousarray(stack, dtype=np.float64).tobytes()
 
 
-def decode_stack(payload, dtype: str, shape: Tuple[int, ...]) -> np.ndarray:
+def decode_stack(payload, shape: Tuple[int, ...]) -> np.ndarray:
     """Decode a stored payload back into a *writable* float64 stack.
 
-    The compact dtypes decode through ``astype`` (which copies), and the
-    ``float64`` path copies the payload into a ``bytearray`` first -- either
-    way the result is safely mutable, never a read-only view into the blob.
+    The payload is copied into a ``bytearray`` first, so the result is safely
+    mutable, never a read-only view into the blob.
 
-    >>> stack = np.array([[[0.25, 1.0]]])
-    >>> decoded = decode_stack(encode_stack(stack, "uint16"), "uint16", (1, 1, 2))
-    >>> bool(np.max(np.abs(decoded - stack)) <= UINT16_MAX_ERROR)
-    True
+    >>> stack = np.array([[[0.1, 1.0 / 3.0]]])
+    >>> decoded = decode_stack(encode_stack(stack), (1, 1, 2))
+    >>> decoded.tobytes() == stack.tobytes(), decoded.flags.writeable
+    (True, True)
     """
-    if dtype == "float64":
-        return np.frombuffer(bytearray(payload), dtype=np.float64).reshape(shape)
-    if dtype == "float32":
-        raw = np.frombuffer(payload, dtype=np.float32)
-        return raw.astype(np.float64).reshape(shape)
-    if dtype == "uint16":
-        raw = np.frombuffer(payload, dtype=np.uint16)
-        return (raw.astype(np.float64) / UINT16_SCALE).reshape(shape)
-    raise RepositoryError(f"unknown cube dtype {dtype!r}, expected one of {CUBE_DTYPES}")
+    return np.frombuffer(bytearray(payload), dtype=np.float64).reshape(shape)
 
 
 def _sha256(document: object) -> str:
@@ -297,24 +248,18 @@ def cube_store_key(
     target_digest: str,
     matcher_usage: Sequence[str],
     config_digest: str,
-    dtype: str,
 ) -> str:
-    """The content address of one (schema pair, matcher usage, config, dtype) cube.
-
-    The storage dtype is part of the address, so a lossy (``float32`` /
-    ``uint16``) cube and a lossless ``float64`` cube of the same match never
-    alias: a float64 reader of a shared store file can only be served the
-    bit-exact cube.
+    """The content address of one (schema pair, matcher usage, config) cube.
 
     Examples
     --------
-    >>> exact = cube_store_key("s", "t", ["Name"], "config", "float64")
-    >>> exact == cube_store_key("s", "t", ["Name"], "config", "uint16")
+    >>> key = cube_store_key("s", "t", ["Name"], "config")
+    >>> key == cube_store_key("s", "t", ["Name", "Leaves"], "config")
     False
     """
     return _sha256(
         [source_digest, target_digest, [str(name) for name in matcher_usage],
-         config_digest, dtype]
+         config_digest]
     )
 
 
@@ -330,15 +275,6 @@ class SimilarityStore:
         Run the background writer thread (default).  With ``False`` every
         ``store_*_async`` call writes inline -- useful for deterministic
         tests.
-    dtype:
-        The storage dtype for cubes **written** by this store: ``"float64"``
-        (default, bit-identical round trips), ``"float32"`` or quantized
-        ``"uint16"`` (max round-trip error :data:`UINT16_MAX_ERROR`).  Reads
-        decode the dtype recorded in each blob's header.  Sessions key the
-        dtype into every cube's content address (:func:`cube_store_key`),
-        so one store file may hold cubes of several dtypes, and a
-        ``float64`` session is only ever served ``float64`` cubes: its warm
-        restarts stay byte-identical whatever other writers used the file.
     mmap_threshold:
         Payloads of at least this many bytes are written to an mmap-backed
         side file (``<path>.blobs/<key>.cube``) instead of an inline SQLite
@@ -375,21 +311,15 @@ class SimilarityStore:
         self,
         path: str,
         writer: bool = True,
-        dtype: str = "float64",
         mmap_threshold: Optional[int] = DEFAULT_MMAP_THRESHOLD,
         readonly: bool = False,
     ):
-        if dtype not in CUBE_DTYPES:
-            raise RepositoryError(
-                f"unknown cube dtype {dtype!r}, expected one of {CUBE_DTYPES}"
-            )
         if readonly and path == ":memory:":
             raise RepositoryError(
                 "a read-only store needs an existing database file, "
                 "not ':memory:'"
             )
         self._path = path
-        self._dtype = dtype
         self._mmap_threshold = mmap_threshold
         self._readonly = bool(readonly)
         self._lock = threading.RLock()
@@ -449,11 +379,11 @@ class SimilarityStore:
                         # the store still works, just with coarser locking.
                         pass
                 self._connection.executescript(_STORE_DDL)
-                # Files created before the dtype contract lack the newer columns
-                # (their rows are unreachable anyway -- the format version is in
-                # every digest -- but the occupancy queries still touch them).
+                # Files created before the external blob tier lack the newer
+                # columns (their rows are unreachable anyway -- the format
+                # version is in every digest -- but the occupancy queries
+                # still touch them).
                 for migration in (
-                    "ALTER TABLE cubes ADD COLUMN dtype TEXT NOT NULL DEFAULT 'float64'",
                     "ALTER TABLE cubes ADD COLUMN payload_bytes INTEGER NOT NULL DEFAULT 0",
                     "ALTER TABLE cubes ADD COLUMN external INTEGER NOT NULL DEFAULT 0",
                 ):
@@ -487,11 +417,6 @@ class SimilarityStore:
     def path(self) -> str:
         """The database path."""
         return self._path
-
-    @property
-    def dtype(self) -> str:
-        """The storage dtype new cubes are written with."""
-        return self._dtype
 
     def _side_path(self, key: str) -> str:
         """The side file of one external (mmap-tier) cube payload."""
@@ -544,17 +469,16 @@ class SimilarityStore:
         recomputation, never fail the match).  Returns ``None`` when nothing
         (usable) is stored.
 
-        Blobs written under the ``CBH3`` header additionally verify a crc32
-        checksum over the payload (inline bytes or side-file contents); a
-        mismatch -- bit rot, a torn write, a tampered file -- quarantines the
-        row (deleted, side file unlinked) and counts it in
-        ``info()["corrupt"]`` / ``["quarantined"]`` before degrading to the
-        same miss-and-recompute path.  Legacy ``CBH2`` blobs stay readable
-        without verification.
+        Every blob must carry the ``CBH3`` header with the float64 dtype byte
+        and a matching crc32 over the payload (inline bytes or side-file
+        contents).  Anything else -- another magic, another dtype byte, bit
+        rot, a torn write, a tampered file -- quarantines the row (deleted,
+        side file unlinked) and counts it in ``info()["corrupt"]`` /
+        ``["quarantined"]`` before degrading to the same miss-and-recompute
+        path.
 
-        The returned stack is decoded to float64 per the blob header's dtype
-        and is always *writable*: inline payloads are copied out of the blob,
-        external payloads are mapped copy-on-write.
+        The returned float64 stack is always *writable*: inline payloads are
+        copied out of the blob, external payloads are mapped copy-on-write.
         """
         try:
             faults.fault_point("store.load", key=key)
@@ -594,40 +518,29 @@ class SimilarityStore:
     ) -> Optional[np.ndarray]:
         """Decode one cube blob (header + inline payload, or side-file ref).
 
-        Raises :class:`_CorruptBlob` on integrity evidence -- a short or
-        unrecognised header, a crc32 mismatch, a missing / short / oversized
-        side file, a payload whose byte count cannot hold the recorded shape.
+        Raises :class:`_CorruptBlob` on integrity evidence -- a short header,
+        a magic other than ``CBH3``, a non-float64 dtype byte, a crc32
+        mismatch, a missing / short / oversized side file, a payload whose
+        byte count cannot hold the recorded shape.
         """
         blob = faults.fault_bytes("store.blob.read", bytes(blob), key=key)
-        crc: Optional[int] = None
-        if len(blob) >= _BLOB_HEADER.size:
-            magic, dtype_code, storage, crc = _BLOB_HEADER.unpack_from(blob)
-            header_size = _BLOB_HEADER.size
-            if magic != _BLOB_MAGIC:
-                crc = None
-        if crc is None:
-            # Not a CBH3 blob: either a legacy CBH2 row (readable, no
-            # checksum) or garbage (quarantined).
-            if len(blob) < _LEGACY_HEADER.size:
-                raise _CorruptBlob("blob shorter than any known header")
-            magic, dtype_code, storage = _LEGACY_HEADER.unpack_from(blob)
-            header_size = _LEGACY_HEADER.size
-            if magic != _LEGACY_MAGIC:
-                raise _CorruptBlob(f"unknown blob magic {bytes(magic)!r}")
-        if dtype_code not in _CODE_DTYPES:
+        if len(blob) < _BLOB_HEADER.size:
+            raise _CorruptBlob("blob shorter than its header")
+        magic, dtype_code, storage, crc = _BLOB_HEADER.unpack_from(blob)
+        if magic != _BLOB_MAGIC:
+            raise _CorruptBlob(f"unknown blob magic {bytes(magic)!r}")
+        if dtype_code != _FLOAT64_CODE:
             raise _CorruptBlob(f"unknown blob dtype code {dtype_code}")
-        dtype = _CODE_DTYPES[dtype_code]
         if storage == _STORAGE_INLINE:
-            payload = blob[header_size:]
-            if crc is not None and zlib.crc32(payload) != crc:
+            payload = blob[_BLOB_HEADER.size:]
+            if zlib.crc32(payload) != crc:
                 raise _CorruptBlob("inline payload crc32 mismatch")
             try:
-                return decode_stack(payload, dtype, shape)
+                return decode_stack(payload, shape)
             except ValueError as error:
                 raise _CorruptBlob(f"inline payload undecodable: {error}") from error
-        numpy_dtype = _NUMPY_DTYPES[dtype]
         side_path = self._side_path(key)
-        expected_bytes = int(np.prod(shape)) * numpy_dtype.itemsize
+        expected_bytes = int(np.prod(shape)) * np.dtype(np.float64).itemsize
         try:
             actual_bytes = os.path.getsize(side_path)
         except OSError as error:
@@ -638,25 +551,20 @@ class SimilarityStore:
             )
         # mode="c" (copy-on-write): pages fault in lazily and writes land in
         # private memory, so the mapped stack is writable like any other.
-        mapped = np.memmap(side_path, dtype=numpy_dtype, mode="c")
-        if crc is not None:
-            # Verification necessarily pages the whole file in -- the
-            # integrity guarantee costs the mmap tier its laziness on first
-            # read (documented trade-off; pages stay resident for the reuse
-            # that follows).  The armed-plan branch materialises bytes only
-            # for injection; the production path checksums the mapping
-            # buffer directly, copy-free.
-            if faults.active_plan() is not None:
-                verified = faults.fault_bytes(
-                    "store.side.read", mapped.tobytes(), key=key
-                )
-            else:
-                verified = mapped
-            if zlib.crc32(verified) != crc:
-                raise _CorruptBlob("side file crc32 mismatch")
-        if dtype == "float64":
-            return mapped.reshape(shape)
-        return decode_stack(mapped, dtype, shape)
+        mapped = np.memmap(side_path, dtype=np.float64, mode="c")
+        # Verification necessarily pages the whole file in -- the integrity
+        # guarantee costs the mmap tier its laziness on first read
+        # (documented trade-off; pages stay resident for the reuse that
+        # follows).  The armed-plan branch materialises bytes only for
+        # injection; the production path checksums the mapping buffer
+        # directly, copy-free.
+        if faults.active_plan() is not None:
+            verified = faults.fault_bytes("store.side.read", mapped.tobytes(), key=key)
+        else:
+            verified = mapped
+        if zlib.crc32(verified) != crc:
+            raise _CorruptBlob("side file crc32 mismatch")
+        return mapped.reshape(shape)
 
     def _quarantine(self, key: str, reason: str) -> None:
         """Remove one corrupt cube row (and side file) and count the event.
@@ -693,16 +601,16 @@ class SimilarityStore:
     ) -> None:
         """Persist a cube under its content address (synchronously).
 
-        The stack is encoded with the store's configured dtype; payloads at
-        or above the mmap threshold land in a side file (written atomically
-        via a temporary name), with only the header kept in the blob column.
+        The stack is stored as raw float64 bytes; payloads at or above the
+        mmap threshold land in a side file (written atomically via a
+        temporary name), with only the header kept in the blob column.
         The header records the payload's crc32 *before* the bytes travel to
         disk, so anything that mangles them en route or at rest -- including
         the ``store.blob.write`` fault seam -- is caught on the next read.
         """
         faults.fault_point("store.write", key=key)
         stack = cube.as_array()  # k x m x n float64, C-order
-        payload = encode_stack(stack, self._dtype)
+        payload = encode_stack(stack)
         external = (
             self._path != ":memory:"
             and self._mmap_threshold is not None
@@ -710,7 +618,7 @@ class SimilarityStore:
         )
         header = _BLOB_HEADER.pack(
             _BLOB_MAGIC,
-            _DTYPE_CODES[self._dtype],
+            _FLOAT64_CODE,
             _STORAGE_EXTERNAL if external else _STORAGE_INLINE,
             zlib.crc32(payload),
         )
@@ -734,15 +642,14 @@ class SimilarityStore:
             json.dumps(list(cube.matcher_names)),
             json.dumps(list(stack.shape)),
             blob,
-            self._dtype,
             len(payload),
             int(external),
         )
         with self._lock:
             self._connection.execute(
                 "INSERT OR REPLACE INTO cubes (key, source_digest, target_digest, "
-                "matchers, config_digest, matcher_names, shape, data, dtype, "
-                "payload_bytes, external) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                "matchers, config_digest, matcher_names, shape, data, "
+                "payload_bytes, external) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                 record,
             )
             self._connection.commit()
@@ -927,14 +834,9 @@ class SimilarityStore:
         with self._lock:
             cube_rows = self._connection.execute(
                 "SELECT COUNT(*), "
-                "COALESCE(SUM(CASE WHEN payload_bytes > 0 THEN payload_bytes ELSE LENGTH(data) END), 0) FROM cubes"
-            ).fetchone()
-            dtype_rows = self._connection.execute(
-                "SELECT dtype, COUNT(*), "
                 "COALESCE(SUM(CASE WHEN payload_bytes > 0 THEN payload_bytes ELSE LENGTH(data) END), 0), "
-                "COALESCE(SUM(external), 0) "
-                "FROM cubes GROUP BY dtype ORDER BY dtype"
-            ).fetchall()
+                "COALESCE(SUM(external), 0) FROM cubes"
+            ).fetchone()
             token_rows = self._connection.execute(
                 "SELECT COUNT(*) FROM tokens"
             ).fetchone()
@@ -951,17 +853,9 @@ class SimilarityStore:
             corrupt, quarantined = self._corrupt, self._quarantined
         return {
             "path": self._path,
-            "dtype": self._dtype,
             "cubes": int(cube_rows[0]),
             "cube_bytes": int(cube_rows[1]),
-            "cube_dtypes": {
-                name: {
-                    "cubes": int(count),
-                    "bytes": int(total),
-                    "external": int(external),
-                }
-                for name, count, total, external in dtype_rows
-            },
+            "external_cubes": int(cube_rows[2]),
             "tokens": int(token_rows[0]),
             "subtrees": int(subtree_rows[0]),
             "hits": hits,

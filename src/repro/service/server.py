@@ -107,13 +107,6 @@ class MatchService:
         disk, so a restarted service answers repeated match workloads warm
         from its very first request.  See ``docs/service.md`` for sizing and
         invalidation guidance.
-    store_dtype:
-        The storage dtype for cubes the store writes: ``"float64"``
-        (default, bit-identical round trips), ``"float32"``, or quantized
-        ``"uint16"`` (quarter the bytes at a tested ~1e-5 tolerance).
-        Applies to the service's own store handle and, on the process
-        backend, to every worker's store connection.  Requires
-        ``store_path``; see ``docs/service.md`` for the selection guide.
     corpus_path:
         Optional schema corpus (:class:`~repro.search.corpus.SchemaCorpus`
         SQLite file, or ``":memory:"``) enabling the ``POST /search`` /
@@ -154,7 +147,6 @@ class MatchService:
         backend: str = "thread",
         repository_path: Optional[str] = None,
         store_path: Optional[str] = None,
-        store_dtype: Optional[str] = None,
         corpus_path: Optional[str] = None,
         importers: Optional[ImporterRegistry] = None,
         session_factory: Optional[SessionFactory] = None,
@@ -195,21 +187,11 @@ class MatchService:
             from repro.repository.repository import Repository
 
             self._repository = Repository(repository_path, threadsafe=True)
-        if store_dtype is not None:
-            from repro.repository.store import CUBE_DTYPES
-
-            if store_dtype not in CUBE_DTYPES:
-                raise ServiceError(
-                    f"unknown store dtype {store_dtype!r}, "
-                    f"expected one of {CUBE_DTYPES}"
-                )
-            if not store_path:
-                raise ServiceError("store_dtype requires a store_path")
         self._store = None
         if store_path:
             from repro.repository.store import SimilarityStore
 
-            self._store = SimilarityStore(store_path, dtype=store_dtype or "float64")
+            self._store = SimilarityStore(store_path)
         if backend == "process":
             from repro.matchers.registry import DEFAULT_LIBRARY
             from repro.parallel.pool import ProcessSessionPool
@@ -221,7 +203,6 @@ class MatchService:
                 pool_size,
                 store_path=store_path,
                 repository_path=repository_path,
-                store_dtype=store_dtype if store_path else None,
                 default_strategy=default_strategy,
             )
             self._library = DEFAULT_LIBRARY

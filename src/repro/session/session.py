@@ -189,13 +189,6 @@ class MatchSession:
         matcher library consult it at all -- stored cubes are addressed by
         matcher name, which is sound only when every process resolves those
         names identically; a custom ``library`` silently bypasses the store.
-    store_dtype:
-        The storage dtype for cubes written by a store the session *opens
-        itself* (``store`` given as a path string): ``"float64"`` (default,
-        bit-identical round trips), ``"float32"``, or quantized ``"uint16"``
-        (see :data:`repro.repository.store.CUBE_DTYPES`).  Passing it next
-        to an already-open :class:`SimilarityStore` object with a different
-        dtype raises :class:`SessionError` rather than silently disagreeing.
     cache_cubes:
         Keep similarity cubes per (schema pair, matcher usage) so repeated
         matches of a pair (e.g. under different combination strategies) skip
@@ -241,7 +234,6 @@ class MatchSession:
         feedback: Optional[UserFeedbackStore] = None,
         repository: Optional["Repository"] = None,
         store: "SimilarityStore | str | None" = None,
-        store_dtype: Optional[str] = None,
         corpus: "SchemaCorpus | str | None" = None,
         cache_cubes: bool = True,
         max_cached_cubes: Optional[int] = DEFAULT_MAX_CACHED_CUBES,
@@ -310,24 +302,10 @@ class MatchSession:
                 if isinstance(store, str):
                     from repro.repository.store import SimilarityStore
 
-                    store = SimilarityStore(store, dtype=store_dtype or "float64")
+                    store = SimilarityStore(store)
                     self._owns_store = True
-                elif store_dtype is not None and store.dtype != store_dtype:
-                    raise SessionError(
-                        f"store_dtype={store_dtype!r} conflicts with the "
-                        f"attached store's dtype {store.dtype!r}; configure "
-                        f"the SimilarityStore itself or pass a path string"
-                    )
                 self._store = store
                 self._refresh_store_digests()
-        elif store_dtype is not None:
-            from repro.repository.store import CUBE_DTYPES
-
-            if store_dtype not in CUBE_DTYPES:
-                raise SessionError(
-                    f"unknown store_dtype {store_dtype!r}, "
-                    f"expected one of {CUBE_DTYPES}"
-                )
         self._corpus: Optional["SchemaCorpus"] = None
         self._owns_corpus = False
         self._searcher: Optional["CorpusSearcher"] = None
@@ -936,7 +914,7 @@ class MatchSession:
                     prev_cube = store.load_cube(
                         cube_store_key(
                             source_digest, target_digest, old_key[2],
-                            self._store_config, store.dtype,
+                            self._store_config,
                         ),
                         old_key[0],
                         old_key[1],
@@ -1013,7 +991,7 @@ class MatchSession:
             self._rematch_reused_rows += delta.reused
             self._rematch_recomputed_rows += delta.recomputed
         if store is not None:
-            store_key = self._store_key_for(store, context, key[2])
+            store_key = self._store_key_for(context, key[2])
             store.store_cube_async(
                 store_key[0], cube, store_key[1], store_key[2], key[2], self._store_config
             )
@@ -1304,12 +1282,8 @@ class MatchSession:
             repository_path = (
                 self._repository.path if self._repository is not None else None
             )
-            store_dtype = self._store.dtype if self._store is not None else None
             owned = process_pool = ProcessSessionPool(
-                processes,
-                store_path=store_path,
-                repository_path=repository_path,
-                store_dtype=store_dtype if store_path is not None else None,
+                processes, store_path=store_path, repository_path=repository_path
             )
         try:
             if process_pool.config_digest != self.config_digest():
@@ -1514,7 +1488,7 @@ class MatchSession:
         store = self._store
         store_key = None
         if key is not None and store is not None:
-            store_key = self._store_key_for(store, context, key[2])
+            store_key = self._store_key_for(context, key[2])
             stored = store.load_cube(store_key[0], key[0], key[1])
             if stored is not None:
                 with self._lock:
@@ -1545,7 +1519,7 @@ class MatchSession:
         return cube
 
     def _store_key_for(
-        self, store: "SimilarityStore", context: MatchContext, usage: Tuple[str, ...]
+        self, context: MatchContext, usage: Tuple[str, ...]
     ) -> Tuple[str, str, str]:
         """``(store key, source digest, target digest)`` of one execution."""
         from repro.repository.store import cube_store_key
@@ -1553,10 +1527,7 @@ class MatchSession:
         source_digest = self._schema_digest(context.source_schema)
         target_digest = self._schema_digest(context.target_schema)
         return (
-            cube_store_key(
-                source_digest, target_digest, usage, self._store_config,
-                store.dtype,
-            ),
+            cube_store_key(source_digest, target_digest, usage, self._store_config),
             source_digest,
             target_digest,
         )

@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-import hashlib
-import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
 
 from repro.datasets.figure1 import load_po1, load_po2
 from repro.datasets.gold_standard import load_all_tasks
-from repro.engine.engine import PAIRWISE_REFERENCE_ENGINE
 from repro.repository.store import (
     SimilarityStore,
     cube_store_key,
@@ -30,20 +29,6 @@ def outcome_rows(outcome):
         (c.source.dotted(), c.target.dotted(), c.similarity)
         for c in outcome.result.correspondences
     ]
-
-
-def result_sha256(outcome) -> str:
-    """The digest of the outcome's mapping, sensitive to every float bit."""
-    document = {
-        "strategy": outcome.strategy.to_spec(),
-        "schema_similarity": float(outcome.schema_similarity).hex(),
-        "rows": [
-            [source, target, float(similarity).hex()]
-            for source, target, similarity in outcome.result.as_tuples()
-        ],
-    }
-    text = json.dumps(document, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @pytest.fixture()
@@ -116,7 +101,7 @@ class TestStoreRoundTrip:
         digest_s = schema_content_digest(source)
         digest_t = schema_content_digest(target)
         usage = outcome.cube.matcher_names
-        key = cube_store_key(digest_s, digest_t, usage, "config", "float64")
+        key = cube_store_key(digest_s, digest_t, usage, "config")
         with SimilarityStore(store_path, writer=False) as store:
             store.store_cube(key, outcome.cube, digest_s, digest_t, usage, "config")
             loaded = store.load_cube(key, source.paths(), target.paths())
@@ -141,20 +126,34 @@ class TestStoreRoundTrip:
             # Asking for the stored cube over the wrong path axes must miss.
             assert store.load_cube("key", load_po2().paths(), load_po1().paths()) is None
 
-    def test_truncated_blob_degrades_to_miss(self, store_path):
-        """A corrupt data blob (right shape, wrong length) is a miss, not a crash."""
+    @pytest.mark.parametrize("blob", ["zero_bytes", "cbh2_float64", "cbh3_dtype2"])
+    def test_truncated_blob_degrades_to_miss(self, store_path, blob):
+        """Only CBH3 float64 blobs load: anything else is quarantined as a miss."""
         session = MatchSession()
         outcome = session.match(load_po1(), load_po2())
+        stack = outcome.cube.as_array()
+        if blob == "zero_bytes":
+            data = b"\x00" * 16
+        elif blob == "cbh2_float64":
+            # The older header: no checksum, otherwise a valid float64 row.
+            data = struct.pack(">4sBB2x", b"CBH2", 0, 0) + stack.tobytes()
+        else:
+            # A well-formed CBH3 row written under the retired uint16 code.
+            payload = np.round(stack * 65535).astype(np.uint16).tobytes()
+            data = struct.pack(">4sBB2xI", b"CBH3", 2, 0, zlib.crc32(payload)) + payload
         with SimilarityStore(store_path, writer=False) as store:
             store.store_cube(
                 "key", outcome.cube, "s", "t", outcome.cube.matcher_names, "c"
             )
             store._connection.execute(
-                "UPDATE cubes SET data = ? WHERE key = 'key'", (b"\x00" * 16,)
+                "UPDATE cubes SET data = ? WHERE key = 'key'", (data,)
             )
             store._connection.commit()
             assert store.load_cube("key", load_po1().paths(), load_po2().paths()) is None
-            assert store.info()["misses"] == 1
+            info = store.info()
+            assert info["misses"] == 1
+            assert info["corrupt"] == 1
+            assert store.cube_count() == 0
 
     def test_load_after_close_is_a_miss_for_inflight_readers(self, store_path):
         """A reader holding a snapshot of a just-closed store degrades to a miss."""
@@ -434,17 +433,10 @@ def store_one(store, outcome, key="key"):
 
 
 class TestDtypeContract:
-    """The layer-dtype contract: float64 exact, float32/uint16 at tolerance."""
-
-    def test_unknown_dtype_rejected(self, store_path):
-        from repro.exceptions import RepositoryError
-
-        with pytest.raises(RepositoryError):
-            SimilarityStore(store_path, writer=False, dtype="float16")
+    """Cubes are stored as float64 only, so a reload is bit-exact."""
 
     def test_float64_stays_bit_exact(self, store_path, matched_outcome):
         with SimilarityStore(store_path, writer=False) as store:
-            assert store.dtype == "float64"
             store_one(store, matched_outcome)
             loaded = store.load_cube(
                 "key", load_po1().paths(), load_po2().paths()
@@ -452,62 +444,6 @@ class TestDtypeContract:
             assert np.array_equal(
                 loaded.as_array(), matched_outcome.cube.as_array()
             )
-
-    @pytest.mark.parametrize("dtype,tolerance", [
-        ("float32", 1e-7),
-        ("uint16", 1e-4),
-    ])
-    def test_compact_round_trip_tolerance(
-        self, store_path, matched_outcome, dtype, tolerance
-    ):
-        with SimilarityStore(store_path, writer=False, dtype=dtype) as store:
-            store_one(store, matched_outcome)
-            loaded = store.load_cube(
-                "key", load_po1().paths(), load_po2().paths()
-            )
-            error = np.max(
-                np.abs(loaded.as_array() - matched_outcome.cube.as_array())
-            )
-            assert error <= tolerance
-
-    def test_uint16_exact_error_bound_and_size(self, store_path, matched_outcome):
-        from repro.repository.store import UINT16_MAX_ERROR
-
-        sizes = {}
-        for dtype in ("float64", "uint16"):
-            with SimilarityStore(
-                str(store_path) + f".{dtype}", writer=False, dtype=dtype
-            ) as store:
-                store_one(store, matched_outcome)
-                info = store.info()
-                sizes[dtype] = info["cube_bytes"]
-                loaded = store.load_cube(
-                    "key", load_po1().paths(), load_po2().paths()
-                )
-                error = np.max(
-                    np.abs(loaded.as_array() - matched_outcome.cube.as_array())
-                )
-                if dtype == "uint16":
-                    assert error <= UINT16_MAX_ERROR
-        # The quantized tier stores at most 30% of the float64 bytes (the
-        # raw array ratio is 25%; headers stay below the 5-point slack).
-        assert sizes["uint16"] <= 0.30 * sizes["float64"]
-
-    def test_mixed_dtype_store_stays_readable(self, store_path, matched_outcome):
-        # Write under uint16, reopen under float64: reads honour the per-blob
-        # header, so the quantized cube still loads.
-        with SimilarityStore(store_path, writer=False, dtype="uint16") as store:
-            store_one(store, matched_outcome, key="quantized")
-        with SimilarityStore(store_path, writer=False) as store:
-            store_one(store, matched_outcome, key="exact")
-            for key in ("quantized", "exact"):
-                assert store.load_cube(
-                    key, load_po1().paths(), load_po2().paths()
-                ) is not None
-            breakdown = store.info()["cube_dtypes"]
-            assert breakdown["uint16"]["cubes"] == 1
-            assert breakdown["float64"]["cubes"] == 1
-            assert breakdown["uint16"]["bytes"] < breakdown["float64"]["bytes"]
 
 
 class TestMmapTier:
@@ -528,7 +464,7 @@ class TestMmapTier:
             assert np.array_equal(
                 loaded.as_array(), matched_outcome.cube.as_array()
             )
-            assert store.info()["cube_dtypes"]["float64"]["external"] == 1
+            assert store.info()["external_cubes"] == 1
 
     def test_short_side_file_degrades_to_miss(self, store_path, matched_outcome):
         with SimilarityStore(
@@ -583,9 +519,8 @@ class TestWritableLoads:
 
     @pytest.mark.parametrize("kwargs", [
         {},  # inline float64 (the np.frombuffer copy path)
-        {"dtype": "uint16"},  # astype decode path
         {"mmap_threshold": 0},  # copy-on-write memmap path
-    ])
+    ], ids=["inline", "mmap"])
     def test_loaded_stack_is_mutable(self, store_path, matched_outcome, kwargs):
         source_paths, target_paths = load_po1().paths(), load_po2().paths()
         with SimilarityStore(store_path, writer=False, **kwargs) as store:
@@ -618,33 +553,6 @@ class TestWritableLoads:
             source_paths[0], target_paths[0], 0.5
         )
         rebuilt.aggregated.set(source_paths[0], target_paths[0], 0.5)
-
-    @pytest.mark.parametrize("wire_dtype,tolerance", [
-        ("float64", 0.0),
-        ("uint16", 1e-4),
-    ])
-    def test_wire_cube_dtype_round_trip(self, matched_outcome, wire_dtype, tolerance):
-        from repro.parallel import codec
-
-        header, buffers = codec.decode_frame(
-            codec.encode_outcomes([matched_outcome], cube_dtype=wire_dtype)
-        )
-        assert header["items"][0]["cube_dtype"] == wire_dtype
-        rebuilt = codec.rebuild_outcome(
-            header["items"][0],
-            buffers,
-            matched_outcome.context.source_schema,
-            matched_outcome.context.target_schema,
-            matched_outcome.strategy,
-            matched_outcome.context,
-        )
-        error = np.max(
-            np.abs(rebuilt.cube.as_array() - matched_outcome.cube.as_array())
-        )
-        assert error <= tolerance
-        # The mapping-deciding floats stay float64-exact whatever the cube tier.
-        assert outcome_rows(rebuilt) == outcome_rows(matched_outcome)
-        assert rebuilt.schema_similarity == matched_outcome.schema_similarity
 
 
 class TestPruneReclaimsDisk:
@@ -683,67 +591,6 @@ class TestPruneReclaimsDisk:
             store.prune_cubes(1)
             remaining = [side for side in sides if os.path.exists(side)]
             assert len(remaining) == 1
-
-
-class TestSessionDtypePlumbing:
-    def test_path_store_honours_store_dtype(self, store_path):
-        session = MatchSession(store=store_path, store_dtype="uint16")
-        try:
-            assert session.store.dtype == "uint16"
-            session.match(load_po1(), load_po2())
-            session.store.flush()
-            breakdown = session.store.info()["cube_dtypes"]
-            assert set(breakdown) == {"uint16"}
-        finally:
-            session.close()
-
-    def test_conflicting_object_store_dtype_raises(self, store_path):
-        from repro.exceptions import SessionError
-
-        shared = SimilarityStore(store_path)  # float64 writer
-        try:
-            with pytest.raises(SessionError):
-                MatchSession(store=shared, store_dtype="uint16")
-            # A matching hint is fine.
-            MatchSession(store=shared, store_dtype="float64").close()
-        finally:
-            shared.close()
-
-    def test_unknown_store_dtype_raises(self):
-        from repro.exceptions import SessionError
-
-        with pytest.raises(SessionError):
-            MatchSession(store_dtype="float16")
-
-    def test_float64_reader_is_never_served_a_lossy_cube(self, store_path):
-        """A uint16 writer and a float64 reader share one store file."""
-        source, target = load_po1(), load_po2()
-        with MatchSession(store=store_path, store_dtype="uint16") as writer:
-            writer.match(source, target)
-        with MatchSession(store=store_path) as reader:
-            warm = reader.match(source, target)
-            store_hits = reader.cache_info()["store_hits"]
-        with MatchSession(engine=PAIRWISE_REFERENCE_ENGINE, cache_cubes=False) as cold:
-            reference = cold.match(source, target)
-        assert result_sha256(warm) == result_sha256(reference)
-        assert store_hits == 0
-
-    def test_warm_uint16_session_is_within_tolerance(self, store_path):
-        source, target = load_po1(), load_po2()
-        baseline = outcome_rows(MatchSession().match(source, target))
-        first = MatchSession(store=store_path, store_dtype="uint16")
-        first.match(source, target)
-        first.close()
-        second = MatchSession(store=store_path, store_dtype="uint16")
-        try:
-            warm = second.match(source, target)
-            assert second.cache_info()["store_hits"] == 1
-            rows = outcome_rows(warm)
-            assert [(s, t) for s, t, _ in rows] == [(s, t) for s, t, _ in baseline]
-            for (_, _, got), (_, _, want) in zip(rows, baseline):
-                assert abs(got - want) <= 1e-4
-        finally:
-            second.close()
 
 
 class TestServiceIntegration:
@@ -794,42 +641,3 @@ class TestServiceIntegration:
         assert status == 200
         assert payload["store"] == store_path
         service.close()
-
-    def test_service_store_dtype_wiring(self, store_path):
-        from repro.datasets.figure1 import PO1_DDL, PO2_XSD
-
-        service = MatchService(
-            pool_size=1, store_path=store_path, store_dtype="uint16"
-        )
-        try:
-            for name, text, fmt in (
-                ("PO1", PO1_DDL, "sql"), ("PO2", PO2_XSD, "xsd")
-            ):
-                service.handle_request(
-                    "POST", "/schemas", {"name": name, "text": text, "format": fmt}
-                )
-            status, _ = service.handle_request(
-                "POST", "/match", {"source": "PO1", "target": "PO2"}
-            )
-            assert status == 200
-            status, stats = service.handle_request("GET", "/stats", None)
-            assert stats["store"]["dtype"] == "uint16"
-        finally:
-            service.close()
-        with SimilarityStore(store_path, writer=False) as store:
-            breakdown = store.info()["cube_dtypes"]
-            assert set(breakdown) == {"uint16"}
-
-    def test_service_store_dtype_validation(self, store_path):
-        from repro.exceptions import ServiceError
-
-        with pytest.raises(ServiceError):
-            MatchService(pool_size=1, store_path=store_path, store_dtype="float16")
-        with pytest.raises(ServiceError):
-            MatchService(pool_size=1, store_dtype="uint16")  # no store_path
-
-    def test_cli_serve_store_dtype_requires_store(self, capsys):
-        from repro.cli import console_main
-
-        assert console_main(["serve", "--store-dtype", "uint16"]) == 1
-        assert "--store-dtype requires --store" in capsys.readouterr().err
